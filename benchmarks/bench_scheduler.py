@@ -4,11 +4,13 @@ Two workloads, one aggregate gate:
 
 * **Measurement fusion** — ``MachineModel.measure_algorithm_batch``
   over every algorithm of five registered families at small
-  (25-instance) batches.  The scheduler's fused path
-  (:meth:`repro.machine.machine.MachineModel._algorithm_batch_fused`)
-  collapses the per-kernel noise/median passes of a multi-kernel
-  algorithm into one stacked pass; ``REPRO_NO_SCHEDULER=1`` is the
-  literal legacy per-call loop.  Results are bit-equal by construction
+  (25-instance) batches.  The scheduler's path
+  (:meth:`repro.machine.machine.MachineModel._algorithm_batch`) draws
+  the noise factors of all of an algorithm's calls in one stacked
+  pass and takes their median order statistics once;
+  ``REPRO_NO_SCHEDULER=1`` is the per-call loop, one noise draw and
+  one ``np.median`` per call.  Results are bit-equal, because the
+  median of positively scaled factors is the scaled median factor,
   and asserted so below.
 
 * **Fused ADD execution** — an 8-leaf elementwise sum lowered by

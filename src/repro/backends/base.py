@@ -129,10 +129,10 @@ class Backend(abc.ABC):
         kernel calls (every aatb variant times a ``(d0, d2)``-shaped
         product, say), so on a real machine each distinct call is
         benchmarked once per evaluation batch rather than once per
-        plan.  Backends whose prediction is context-dependent (the
-        simulated machine folds the algorithm name into its noise
-        stream) override :meth:`predict_times` to ignore ``timed``,
-        which makes this exactly the per-algorithm column stack.
+        plan.  The simulated backend's predictions are
+        context-dependent (its machine folds the algorithm name into
+        the noise stream), so it overrides this method with a
+        per-algorithm read of its memo rows.
         """
         timed: Dict[_CallKey, float] = {}
         return np.stack(

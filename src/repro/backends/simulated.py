@@ -3,8 +3,22 @@
 Delegates all timing to a :class:`repro.machine.machine.MachineModel`;
 see that module for the analytic effects (ramps, variant dispatch,
 thread balance, inter-kernel cache interference, noise).  Results are
-memoised in an array-backed store — the experiment pipelines revisit
+memoised in array-backed stores — the experiment pipelines revisit
 points constantly, and the model is stateless so memoisation is exact.
+
+One memo row per (algorithm, instance) holds two columns: the measured
+time and the benchmark prediction.  The machine draws both from the
+same noise ids by design, and the median of positively scaled factors
+is the scaled median factor (rounding is monotone), so one noise pass
+yields both columns bit for bit.  Measuring an instance therefore also
+fills its prediction, and Experiment 3's predictions over region cells
+(every one of them measured by the traversal) are memo hits.  A
+prediction-only miss computes the prediction alone and leaves the
+measured column empty (NaN) until a measurement needs it.
+
+The algorithms of one expression share one instance index (instance
+bytes to row id), so an instance's key is stored once, not once per
+algorithm, and each algorithm's column is a vectorized gather by id.
 
 The batch methods are the fast path: a whole batch of instances flows
 through the vectorized machine in one call.  An algorithm's kernel
@@ -12,88 +26,78 @@ structure is instance-independent (only the dims vary), so the call
 sequence is built *once* by feeding the calls builder whole instance
 columns — the same polynomial machinery that serves the symbolic
 analysis — and stacking the resulting per-call dim columns into
-``(n, arity)`` matrices.
+``(n, arity)`` matrices.  The scalar methods are the batch methods on
+one-row batches, so they share the same memo rows.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.backends.base import Backend
 from repro.expressions.base import Algorithm
-from repro.expressions.scheduler import scheduled_call_batches, scheduled_calls
+from repro.expressions.scheduler import scheduled_call_batches
 from repro.kernels.types import KernelCallBatch, KernelName
 from repro.machine.machine import MachineModel
 
+#: Columns of an algorithm's memo rows.
+_MEASURED, _PREDICTED = 0, 1
 
-class _ArrayMemo:
-    """Append-only float64 store indexed by instance-row byte keys.
 
-    Values live in one contiguous array so a batch lookup is a single
-    vectorized gather; the dict maps each key (the raw little-endian
-    int64 bytes of an instance row) to its row index only.
+class _Memo:
+    """Float64 memo rows for one instance space, one table per owner.
+
+    Every distinct instance row gets one id, shared by all owners (the
+    algorithms of one expression, or one kernel): the dict maps each
+    key (the raw little-endian int64 bytes of an instance row) to its
+    id, and each owner's ``(capacity, width)`` table holds its values
+    at row ``id``, so a batch lookup is one vectorized gather.  NaN
+    marks a value not computed yet.
     """
 
-    __slots__ = ("_index", "_values", "_size")
+    __slots__ = ("_ids", "_tables", "_width")
 
-    def __init__(self) -> None:
-        self._index: Dict[bytes, int] = {}
-        self._values = np.empty(1024, dtype=np.float64)
-        self._size = 0
+    def __init__(self, width: int) -> None:
+        self._ids: Dict[bytes, int] = {}
+        self._tables: Dict[object, np.ndarray] = {}
+        self._width = width
 
-    def __len__(self) -> int:
-        return self._size
-
-    def get(self, key: bytes) -> Optional[float]:
-        row = self._index.get(key)
-        return None if row is None else float(self._values[row])
-
-    def _reserve(self, extra: int) -> None:
-        needed = self._size + extra
-        capacity = self._values.shape[0]
-        if needed > capacity:
-            while capacity < needed:
-                capacity *= 2
-            grown = np.empty(capacity, dtype=np.float64)
-            grown[: self._size] = self._values[: self._size]
-            self._values = grown
-
-    def put(self, key: bytes, value: float) -> None:
-        if key in self._index:
-            return
-        self._reserve(1)
-        self._values[self._size] = value
-        self._index[key] = self._size
-        self._size += 1
-
-    def put_many(self, keys: Sequence[bytes], values: np.ndarray) -> None:
-        """Insert distinct fresh keys with their computed values."""
-        self._reserve(len(keys))
-        index, size = self._index, self._size
-        self._values[size:size + len(keys)] = values
-        for key in keys:
-            index[key] = size
-            size += 1
-        self._size = size
-
-    def rows(self, keys: Sequence[bytes]) -> np.ndarray:
-        """Row index per key, -1 where missing."""
-        index = self._index
-        return np.fromiter(
-            (index.get(key, -1) for key in keys),
-            dtype=np.int64,
-            count=len(keys),
+    def ids(self, keys: Sequence[bytes]) -> np.ndarray:
+        """The id of each key, assigning fresh ids to unseen keys."""
+        index = self._ids
+        ids = np.fromiter(
+            map(index.get, keys, repeat(-1)), dtype=np.int64, count=len(keys)
         )
+        unseen = np.flatnonzero(ids < 0)
+        if unseen.size:
+            unseen_keys = [keys[position] for position in unseen.tolist()]
+            fresh = dict.fromkeys(unseen_keys)
+            start = len(index)
+            index.update(zip(fresh, range(start, start + len(fresh))))
+            ids[unseen] = np.fromiter(
+                map(index.__getitem__, unseen_keys),
+                dtype=np.int64,
+                count=len(unseen_keys),
+            )
+        return ids
 
-    def fill_rows(self, rows: np.ndarray, positions, keys) -> None:
-        index = self._index
-        for position in positions:
-            rows[position] = index[keys[position]]
+    def table(self, owner) -> np.ndarray:
+        """``owner``'s values, with a row for every id assigned so far.
 
-    def gather(self, rows: np.ndarray) -> np.ndarray:
-        return self._values[rows]
+        Call it after :meth:`ids` has assigned the batch's ids.
+        """
+        table = self._tables.get(owner)
+        needed = len(self._ids)
+        if table is None or table.shape[0] < needed:
+            capacity = max(1024, needed + needed // 2)
+            grown = np.full((capacity, self._width), np.nan)
+            if table is not None:
+                grown[: table.shape[0]] = table
+            table = self._tables[owner] = grown
+        return table
 
 
 def _row_keys(arr: np.ndarray) -> List[bytes]:
@@ -103,12 +107,6 @@ def _row_keys(arr: np.ndarray) -> List[bytes]:
     return [buffer[i:i + width] for i in range(0, len(buffer), width)]
 
 
-def _instance_key(instance) -> bytes:
-    return np.asarray(
-        [int(d) for d in instance], dtype=np.int64
-    ).tobytes()
-
-
 class SimulatedBackend(Backend):
     def __init__(self, machine: Optional[MachineModel] = None) -> None:
         if machine is None:
@@ -116,54 +114,24 @@ class SimulatedBackend(Backend):
 
             machine = paper_machine()
         self.machine = machine
-        self._memos: Dict[Tuple[str, str], _ArrayMemo] = {}
-
-    def _memo(self, kind: str, name: str) -> _ArrayMemo:
-        memo = self._memos.get((kind, name))
-        if memo is None:
-            memo = self._memos[(kind, name)] = _ArrayMemo()
-        return memo
+        # Algorithm memos per expression (one table per algorithm
+        # name), kernel memos per kernel (one table each).
+        self._algorithm_memos: Dict[str, _Memo] = {}
+        self._kernel_memos: Dict[KernelName, _Memo] = {}
 
     @property
     def peak_flops(self) -> float:
         return self.machine.peak_flops
 
     # ------------------------------------------------------------------
-    # Scalar protocol
+    # Scalar protocol — one-row batches over the same memo rows
     # ------------------------------------------------------------------
 
     def time_algorithm(self, algorithm: Algorithm, instance: Sequence[int]) -> float:
-        memo = self._memo("time", algorithm.name)
-        key = _instance_key(instance)
-        cached = memo.get(key)
-        if cached is None:
-            instance = tuple(int(d) for d in instance)
-            calls = self._scheduled(algorithm, algorithm.kernel_calls(instance))
-            cached = self.machine.measure_algorithm(calls, context=algorithm.name)
-            memo.put(key, cached)
-        return cached
-
-    def predict_time(self, algorithm: Algorithm, instance: Sequence[int]) -> float:
-        memo = self._memo("predict", algorithm.name)
-        key = _instance_key(instance)
-        cached = memo.get(key)
-        if cached is None:
-            instance = tuple(int(d) for d in instance)
-            calls = self._scheduled(algorithm, algorithm.kernel_calls(instance))
-            cached = self.machine.predict_algorithm(calls, context=algorithm.name)
-            memo.put(key, cached)
-        return cached
+        return float(self.time_algorithms(algorithm, [instance])[0])
 
     def time_kernel(self, kernel: KernelName, dims: Sequence[int]) -> float:
-        memo = self._memo("kernel", kernel.value)
-        key = _instance_key(dims)
-        cached = memo.get(key)
-        if cached is None:
-            cached = self.machine.measure_kernel(
-                kernel, tuple(int(d) for d in dims)
-            )
-            memo.put(key, cached)
-        return cached
+        return float(self.time_kernels(kernel, [dims])[0])
 
     def kernel_efficiency(self, kernel: KernelName, dims: Sequence[int]) -> float:
         """Noise-free analytic efficiency (used by Figure 1's ideal curves)."""
@@ -182,61 +150,83 @@ class SimulatedBackend(Backend):
             )
         return arr
 
-    def _scheduled(self, algorithm: Algorithm, calls):
-        # Non-default machine schedules permute each plan's step order
-        # by the model's interference term (the schedule-as-scenario
-        # axis); the default schedule returns the calls untouched.
-        if self.machine.schedule == "default":
-            return calls
-        return scheduled_calls(algorithm, calls, self.machine)
-
     def _batched_calls(
         self, algorithm: Algorithm, arr: np.ndarray
     ) -> Tuple[KernelCallBatch, ...]:
         # Compiled per-plan builder when the algorithm carries one
         # (shape indices resolved at codegen time); interpreted
         # column batching otherwise.  Same batches either way.
+        # Non-default machine schedules permute each plan's step order
+        # by the model's interference term (the schedule-as-scenario
+        # axis).
         batches = algorithm.kernel_call_batches(arr)
         if self.machine.schedule == "default":
             return batches
         return scheduled_call_batches(algorithm, batches, self.machine)
 
-    def _memoised_batch(
-        self,
-        memo: _ArrayMemo,
+    @staticmethod
+    def _memoised(
+        table: np.ndarray,
         arr: np.ndarray,
+        ids: np.ndarray,
+        column: int,
         compute,
     ) -> np.ndarray:
-        """Gather ``arr`` rows from ``memo``, batch-computing the misses.
+        """``column`` of ``arr``'s rows in ``table``, computing the misses.
 
-        ``compute`` maps a sub-matrix of ``arr`` rows to values; each
+        ``ids`` are the rows' memo ids; ``compute`` maps a sub-matrix
+        of ``arr`` rows to whole memo rows ``(m, width)``.  Each
         distinct missing row is computed exactly once.
         """
-        keys = _row_keys(arr)
-        rows = memo.rows(keys)
-        missing_positions = np.nonzero(rows < 0)[0].tolist()
-        if missing_positions:
-            first_seen: Dict[bytes, int] = {}
-            for position in missing_positions:
-                first_seen.setdefault(keys[position], position)
-            values = compute(arr[list(first_seen.values())])
-            memo.put_many(list(first_seen), values)
-            memo.fill_rows(rows, missing_positions, keys)
-        return memo.gather(rows)
+        values = table[ids, column]
+        missing = np.flatnonzero(np.isnan(values))
+        if missing.size:
+            todo, first = np.unique(ids[missing], return_index=True)
+            table[todo] = compute(arr[missing[first]])
+            values[missing] = table[ids[missing], column]
+        return values
+
+    def _algorithm_memo(self, algorithm: Algorithm) -> _Memo:
+        memo = self._algorithm_memos.get(algorithm.expression)
+        if memo is None:
+            memo = self._algorithm_memos[algorithm.expression] = _Memo(2)
+        return memo
+
+    def _algorithm_column(
+        self,
+        algorithm: Algorithm,
+        arr: np.ndarray,
+        column: int,
+        ids: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        memo = self._algorithm_memo(algorithm)
+        if ids is None:
+            ids = memo.ids(_row_keys(arr))
+
+        def compute(sub: np.ndarray) -> np.ndarray:
+            calls = self._batched_calls(algorithm, sub)
+            rows = np.full((sub.shape[0], 2), np.nan)
+            if column == _MEASURED:
+                predicted = np.empty(sub.shape[0])
+                rows[:, _MEASURED] = self.machine.measure_algorithm_batch(
+                    calls, context=algorithm.name, predicted=predicted
+                )
+                rows[:, _PREDICTED] = predicted
+            else:
+                rows[:, _PREDICTED] = self.machine.predict_algorithm_batch(
+                    calls, context=algorithm.name
+                )
+            return rows
+
+        return self._memoised(
+            memo.table(algorithm.name), arr, ids, column, compute
+        )
 
     def time_algorithms(
         self, algorithm: Algorithm, instances: Sequence[Sequence[int]]
     ) -> np.ndarray:
         arr = self._instances_matrix(instances)
-        if arr.shape[0] == 0:
-            return np.zeros(0, dtype=np.float64)
-        return self._memoised_batch(
-            self._memo("time", algorithm.name),
-            arr,
-            lambda sub: self.machine.measure_algorithm_batch(
-                self._batched_calls(algorithm, sub), context=algorithm.name
-            ),
-        )
+        return self._algorithm_column(algorithm, arr, _MEASURED)
 
     def predict_times(
         self,
@@ -247,19 +237,37 @@ class SimulatedBackend(Backend):
         # ``timed`` (the real-backend cross-plan benchmark memo) is
         # deliberately ignored: the machine folds the algorithm name
         # into every measurement's noise stream, so predictions are
-        # context-dependent and cannot be shared across plans.  The
-        # noise-free dedupe lives in MachineModel's base-seconds
-        # cache instead.
+        # context-dependent and cannot be shared across plans.  They
+        # live in the algorithm's memo rows next to its measurements
+        # instead; the noise-free dedupe across plans is the
+        # MachineModel's base-seconds cache.
         arr = self._instances_matrix(instances)
-        if arr.shape[0] == 0:
-            return np.zeros(0, dtype=np.float64)
-        return self._memoised_batch(
-            self._memo("predict", algorithm.name),
-            arr,
-            lambda sub: self.machine.predict_algorithm_batch(
-                self._batched_calls(algorithm, sub), context=algorithm.name
-            ),
-        )
+        return self._algorithm_column(algorithm, arr, _PREDICTED)
+
+    def predict_times_matrix(
+        self,
+        algorithms: Sequence[Algorithm],
+        instances: Sequence[Sequence[int]],
+    ) -> np.ndarray:
+        """``(n, A)`` predictions from each algorithm's memo rows.
+
+        The instance ids are looked up once per expression, not once
+        per algorithm.  Rows an earlier :meth:`time_algorithms` filled
+        are hits.
+        """
+        arr = self._instances_matrix(instances)
+        keys = _row_keys(arr)
+        ids: Dict[str, np.ndarray] = {}
+        out = np.empty((arr.shape[0], len(algorithms)))
+        for j, algorithm in enumerate(algorithms):
+            if algorithm.expression not in ids:
+                ids[algorithm.expression] = self._algorithm_memo(
+                    algorithm
+                ).ids(keys)
+            out[:, j] = self._algorithm_column(
+                algorithm, arr, _PREDICTED, ids[algorithm.expression]
+            )
+        return out
 
     def time_kernels(
         self, kernel: KernelName, dims: Sequence[Sequence[int]]
@@ -269,10 +277,12 @@ class SimulatedBackend(Backend):
             raise ValueError(
                 f"dims must be a (n, arity) matrix, got shape {arr.shape!r}"
             )
-        if arr.shape[0] == 0:
-            return np.zeros(0, dtype=np.float64)
-        return self._memoised_batch(
-            self._memo("kernel", kernel.value),
-            arr,
-            lambda sub: self.machine.measure_kernel_batch(kernel, sub),
-        )
+        memo = self._kernel_memos.get(kernel)
+        if memo is None:
+            memo = self._kernel_memos[kernel] = _Memo(1)
+
+        def compute(sub: np.ndarray) -> np.ndarray:
+            return self.machine.measure_kernel_batch(kernel, sub)[:, None]
+
+        ids = memo.ids(_row_keys(arr))
+        return self._memoised(memo.table(kernel), arr, ids, 0, compute)

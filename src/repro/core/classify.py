@@ -33,10 +33,15 @@ import numpy as np
 
 from repro.backends.base import Backend
 from repro.expressions.base import Algorithm
+from repro.expressions.shapes import dim_symbol
 
 #: Relative tolerance when intersecting "minimum" sets: measured times
 #: are floats, FLOP counts exact ints; both use the same rule.
 _REL_TOL = 1e-9
+
+#: FLOP counts below this are exact in :func:`batch_flops`' int64
+#: columns and in every float64 quantity derived from them.
+EXACT_FLOPS_LIMIT = 2**53
 
 
 @dataclass(frozen=True)
@@ -188,6 +193,37 @@ def batch_flops(
                 )
             out[:, j] = np.asarray(algorithm.flops(columns), dtype=np.int64)
     return out
+
+
+def max_exact_dim(algorithms: Sequence[Algorithm], n_dims: int) -> int:
+    """The largest dim at which every plan's FLOP count stays exact.
+
+    That is the largest ``d`` for which every algorithm's exact
+    integer ``flops((d,) * n_dims)`` is below :data:`EXACT_FLOPS_LIMIT`.
+    FLOP polynomials have non-negative coefficients, so no instance
+    whose dims are all at most ``d`` counts more than the all-equal
+    one: the bound holds for every such instance.  Each plan's count
+    is built once as a polynomial in one shared dim symbol, then the
+    bound is found by bisection in exact integers.
+    """
+    symbol = dim_symbol(0)
+    counts = {a.flops((symbol,) * n_dims) for a in algorithms}
+
+    def exact(d: int) -> bool:
+        return all(c.size_hint((d,)) < EXACT_FLOPS_LIMIT for c in counts)
+
+    if not exact(1):
+        raise ValueError("FLOP counts exceed 2**53 even at unit dims")
+    low, high = 1, 2
+    while exact(high):
+        low, high = high, 2 * high
+    while high - low > 1:
+        middle = (low + high) // 2
+        if exact(middle):
+            low = middle
+        else:
+            high = middle
+    return low
 
 
 def evaluate_instances(

@@ -28,7 +28,13 @@ paper discusses:
    Disabled in :func:`repro.machine.presets.no_cache_machine`.
 
 Measured times add stateless multiplicative noise (median of
-``reps`` repetitions, the paper's protocol).
+``reps`` repetitions, the paper's protocol).  The median is taken of
+the noise factors once, then scaled: for a base time ``c > 0``, the
+median of ``c * f`` is ``c * f_mid`` (odd ``reps``) or
+``(c * f_lo + c * f_hi) / 2`` (even), bit for bit, because rounding
+is monotone, so the order statistics of the scaled values are the
+scaled order statistics.  That is what lets one noise pass serve both
+an algorithm's measurement and its benchmark prediction.
 
 Every quantity is computed **batch-first** over ``(n, arity)`` dims
 matrices (the ``*_batch`` methods); the scalar methods run the batch
@@ -40,7 +46,7 @@ equivalence suite in ``tests/test_batch_equivalence.py`` pins this.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,7 +59,7 @@ from repro.kernels.types import (
     KernelName,
     batch_kernel_calls,
 )
-from repro.machine.noise import NoiseModel, fold
+from repro.machine.noise import NoiseModel, fold, fold_columns
 from repro.machine.spec import MachineSpec
 
 #: Known step-schedule policies (the machine presets' ``schedule``
@@ -145,6 +151,7 @@ class MachineModel:
         #: :func:`repro.expressions.scheduler.schedule_order`).
         self.schedule_cache: dict = {}
         self._stream_base_cache: dict = {}
+        self._id_heads: dict = {}
         # Noise-free base seconds keyed by (kernel, dims-matrix bytes);
         # shared across algorithm contexts (see _BASE_CACHE_MAX_BYTES).
         self._base_seconds_cache: dict = {}
@@ -265,20 +272,57 @@ class MachineModel:
         kernel: KernelName,
         dims: np.ndarray,
     ) -> np.ndarray:
-        """Fold the measurement coordinates into per-instance noise ids."""
-        ids = np.full(dims.shape[0], context_base, dtype=np.uint64)
-        if index is not None:
-            ids = fold(ids, index)
-        ids = fold(ids, _KERNEL_TOKEN[kernel])
-        for j in range(dims.shape[1]):
-            ids = fold(ids, dims[:, j])
-        return ids
+        """Fold the measurement coordinates into per-instance noise ids.
 
-    def _measure_batch(
-        self, base_seconds: np.ndarray, ids: np.ndarray
+        The coordinates every row shares (context, call index, kernel)
+        fold into one cached head id; :func:`fold` is elementwise, so
+        that equals folding them into every row.
+        """
+        key = (context_base, index, kernel)
+        head = self._id_heads.get(key)
+        if head is None:
+            ids = np.array([context_base], dtype=np.uint64)
+            if index is not None:
+                ids = fold(ids, index)
+            head = self._id_heads[key] = fold(ids, _KERNEL_TOKEN[kernel])[0]
+        return fold_columns(head, dims)
+
+    def _median_factors(
+        self, ids: np.ndarray
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """The noise order statistics ``np.median`` would use, per id.
+
+        Returns ``(f_mid, None)`` for odd ``reps`` and ``(f_lo, f_hi)``
+        for even ``reps``.  The repetitions are sorted by an odd-even
+        transposition network of elementwise min/max over contiguous
+        rows; min and max return one of their inputs, so the order
+        statistics are exact.
+        """
+        rows = list(self.noise.rep_factors(ids, self.reps))
+        reps = len(rows)
+        scratch = np.empty_like(rows[0])
+        for sweep in range(reps):
+            for i in range(sweep % 2, reps - 1, 2):
+                low = np.minimum(rows[i], rows[i + 1], out=scratch)
+                np.maximum(rows[i], rows[i + 1], out=rows[i + 1])
+                scratch, rows[i] = rows[i], low
+        middle = reps // 2
+        if reps % 2:
+            return rows[middle], None
+        return rows[middle - 1], rows[middle]
+
+    @staticmethod
+    def _scaled_median(
+        base: np.ndarray, low: np.ndarray, high: Optional[np.ndarray]
     ) -> np.ndarray:
-        factors = self.noise.factors_from_ids(ids, self.reps)
-        return np.median(base_seconds[:, None] * factors, axis=1)
+        """``np.median(base[:, None] * factors, axis=1)``, bit for bit.
+
+        ``low``/``high`` come from :meth:`_median_factors` over the same
+        factors; ``base`` must be positive (see the module docstring).
+        """
+        if high is None:
+            return base * low
+        return (base * low + base * high) / 2.0
 
     def measure_kernel_batch(self, kernel: KernelName, dims) -> np.ndarray:
         """Median measured times of isolated (flushed-cache) calls."""
@@ -287,7 +331,7 @@ class MachineModel:
         ids = self._measurement_ids(
             self._stream_base(_BENCH_CONTEXT), None, kernel, dims
         )
-        return self._measure_batch(base, ids)
+        return self._scaled_median(base, *self._median_factors(ids))
 
     def measure_kernel(self, kernel: KernelName, dims: Sequence[int]) -> float:
         """Median measured time of one isolated (flushed-cache) call."""
@@ -323,87 +367,104 @@ class MachineModel:
         self,
         calls: Sequence[KernelCallBatch],
         context: str,
-        with_interference: bool,
-    ) -> np.ndarray:
+        measured: bool,
+        predicted: bool,
+    ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
+        """Measured and/or predicted totals of one algorithm's calls.
+
+        The measurement adds the inter-kernel interference to each
+        consumer's base time; the prediction (isolated benchmarks)
+        does not.  Both use the same measurement ids, so they share
+        one draw of noise.
+        """
         if not calls:
             raise ValueError("algorithm batch needs at least one call")
         context_base = self._stream_base(context)
-        if len(calls) > 1 and scheduler_enabled():
-            return self._algorithm_batch_fused(
-                calls, context_base, with_interference
+        if not scheduler_enabled():
+            return self._algorithm_batch_per_call(
+                calls, context_base, measured, predicted
             )
-        total = np.zeros(calls[0].n)
-        previous: Optional[KernelCallBatch] = None
-        for index, call in enumerate(calls):
-            base = self._base_seconds_memo(call.kernel, call.dims)
-            if (
-                with_interference
-                and previous is not None
-                and call.reads_previous
-            ):
-                base = base * (
-                    1.0 + self.interference_penalty_batch(previous, call)
-                )
-            ids = self._measurement_ids(
-                context_base, index, call.kernel, call.dims
-            )
-            total = total + self._measure_batch(base, ids)
-            previous = call
-        return total
-
-    def _algorithm_batch_fused(
-        self,
-        calls: Sequence[KernelCallBatch],
-        context_base: int,
-        with_interference: bool,
-    ) -> np.ndarray:
-        """One noise/median pass over a whole multi-kernel region.
-
-        Bit-equal to the per-call loop by construction: measurement ids
-        and base seconds are built per call exactly as before, then the
-        noise factors and the median-of-reps run once over the stacked
-        ``(k*n, reps)`` block — :meth:`NoiseModel.factors_from_ids` is
-        elementwise per id and ``np.median`` sorts each row
-        independently, so row ``index*n + j`` matches what call
-        ``index`` alone would have produced for instance ``j``.  The
-        final summation replays the sequential per-call order (never a
-        pairwise ``np.sum`` reduction, which would reorder the float
-        additions for k >= 8).  This amortizes the per-call NumPy
-        dispatch of the study hot loop's innermost layer — the win the
-        scheduler's fused regions hand to every backend at once.
-        """
         n = calls[0].n
-        bases: list = []
+        isolated: list = []
+        interfered: list = []
         ids: list = []
         previous: Optional[KernelCallBatch] = None
         for index, call in enumerate(calls):
             base = self._base_seconds_memo(call.kernel, call.dims)
-            if (
-                with_interference
-                and previous is not None
-                and call.reads_previous
-            ):
-                base = base * (
-                    1.0 + self.interference_penalty_batch(previous, call)
-                )
-            bases.append(np.broadcast_to(base, (n,)))
+            isolated.append(base)
+            if measured:
+                if previous is not None and call.reads_previous:
+                    base = base * (
+                        1.0 + self.interference_penalty_batch(previous, call)
+                    )
+                interfered.append(base)
             ids.append(
                 self._measurement_ids(
                     context_base, index, call.kernel, call.dims
                 )
             )
             previous = call
-        factors = self.noise.factors_from_ids(np.concatenate(ids), self.reps)
-        measured = np.median(
-            np.concatenate(bases)[:, None] * factors, axis=1
+        low, high = self._median_factors(np.concatenate(ids))
+
+        def total(bases: list) -> np.ndarray:
+            per_call = self._scaled_median(np.concatenate(bases), low, high)
+            # Sequential per-call additions, never a pairwise np.sum
+            # (which would reorder the float additions for k >= 8).
+            out = np.zeros(n)
+            for index in range(len(calls)):
+                out = out + per_call[index * n:(index + 1) * n]
+            return out
+
+        return (
+            total(interfered) if measured else None,
+            total(isolated) if predicted else None,
         )
-        total = np.zeros(n)
-        for index in range(len(calls)):
-            total = total + measured[index * n:(index + 1) * n]
-        return total
+
+    def _algorithm_batch_per_call(
+        self,
+        calls: Sequence[KernelCallBatch],
+        context_base: int,
+        measured: bool,
+        predicted: bool,
+    ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
+        """The unscheduled path: one noise and median pass per call.
+
+        ``REPRO_NO_SCHEDULER=1`` selects it.  Each call draws its noise
+        factors once and takes ``np.median`` of the scaled factors for
+        each requested column.
+        """
+        measured_total = np.zeros(calls[0].n)
+        predicted_total = np.zeros(calls[0].n)
+        previous: Optional[KernelCallBatch] = None
+        for index, call in enumerate(calls):
+            base = self._base_seconds_memo(call.kernel, call.dims)
+            ids = self._measurement_ids(
+                context_base, index, call.kernel, call.dims
+            )
+            factors = self.noise.factors_from_ids(ids, self.reps)
+            if predicted:
+                predicted_total = predicted_total + np.median(
+                    base[:, None] * factors, axis=1
+                )
+            if measured:
+                if previous is not None and call.reads_previous:
+                    base = base * (
+                        1.0 + self.interference_penalty_batch(previous, call)
+                    )
+                measured_total = measured_total + np.median(
+                    base[:, None] * factors, axis=1
+                )
+            previous = call
+        return (
+            measured_total if measured else None,
+            predicted_total if predicted else None,
+        )
 
     def measure_algorithm_batch(
-        self, calls: Sequence[KernelCallBatch], context: str = ""
+        self,
+        calls: Sequence[KernelCallBatch],
+        context: str = "",
+        predicted: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Median measured times of whole multi-kernel algorithm runs.
 
@@ -411,8 +472,17 @@ class MachineModel:
         noise of these runs from every other measurement: two
         algorithms sharing an identical kernel call still time it
         independently, as they would on real hardware.
+
+        ``predicted``, when given, is an ``(n,)`` float64 array that
+        receives :meth:`predict_algorithm_batch`'s result for the same
+        calls, computed from the same noise draw.
         """
-        return self._algorithm_batch(calls, context, with_interference=True)
+        measured, prediction = self._algorithm_batch(
+            calls, context, measured=True, predicted=predicted is not None
+        )
+        if predicted is not None:
+            predicted[...] = prediction
+        return measured
 
     def predict_algorithm_batch(
         self, calls: Sequence[KernelCallBatch], context: str = ""
@@ -423,7 +493,9 @@ class MachineModel:
         so the prediction error isolates exactly what isolated
         benchmarks cannot see — the inter-kernel cache effects.
         """
-        return self._algorithm_batch(calls, context, with_interference=False)
+        return self._algorithm_batch(
+            calls, context, measured=False, predicted=True
+        )[1]
 
     def measure_algorithm(
         self, calls: Sequence[KernelCall], context: str = ""

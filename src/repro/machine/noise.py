@@ -26,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -67,9 +68,66 @@ def fold(h: np.ndarray, value) -> np.ndarray:
     return mix64((h + _GAMMA) ^ value)
 
 
+def fold_columns(head, matrix: np.ndarray) -> np.ndarray:
+    """``(n,)`` ids: ``head`` with each row's fields folded in, in order.
+
+    Equal to chaining :func:`fold` over the columns of the ``(n, m)``
+    integer ``matrix`` starting from ``head`` (a ``uint64`` id shared
+    by every row), computed in place.
+    """
+    ids = np.full(matrix.shape[0], head, dtype=np.uint64)
+    scratch = np.empty_like(ids)
+    for j in range(matrix.shape[1]):
+        column = np.asarray(matrix[:, j], dtype=np.int64).view(np.uint64)
+        np.add(ids, _GAMMA, out=ids)
+        np.bitwise_xor(ids, column, out=ids)
+        _mix64_in_place(ids, scratch)
+    return ids
+
+
 def _unit(bits: np.ndarray) -> np.ndarray:
     """Map ``uint64`` bits to U(0, 1) floats, never exactly 0 or 1."""
     return ((bits >> _SHIFT_11).astype(np.float64) + 0.5) * _TWO_POW_MINUS_53
+
+
+def _mix64_in_place(bits: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """:func:`mix64` of ``bits`` written back into ``bits``.
+
+    ``scratch`` is a ``uint64`` buffer shaped like ``bits``.  Integer
+    mixing wraps mod 2**64 in place exactly as out of place.
+    """
+    for shift, multiplier in ((_SHIFT_30, _MIX1), (_SHIFT_27, _MIX2)):
+        np.right_shift(bits, shift, out=scratch)
+        np.bitwise_xor(bits, scratch, out=bits)
+        np.multiply(bits, multiplier, out=bits)
+    np.right_shift(bits, _SHIFT_31, out=scratch)
+    np.bitwise_xor(bits, scratch, out=bits)
+    return bits
+
+
+def _stream_unit(
+    rep_ids: np.ndarray,
+    stream: np.uint64,
+    bits: np.ndarray,
+    scratch: np.ndarray,
+    out: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """``_unit(mix64(rep_ids ^ stream))`` through caller-owned buffers.
+
+    ``bits`` and ``scratch`` are ``uint64`` arrays shaped like
+    ``rep_ids``; ``out`` (allocated when None) receives the floats.
+    The shifted bits are below 2**53, so reading them as ``int64``
+    converts to the same floats as ``uint64`` does, on a faster loop.
+    """
+    np.bitwise_xor(rep_ids, stream, out=bits)
+    _mix64_in_place(bits, scratch)
+    np.right_shift(bits, _SHIFT_11, out=bits)
+    if out is None:
+        out = np.empty(bits.shape)
+    np.copyto(out, bits.view(np.int64), casting="unsafe")
+    np.add(out, 0.5, out=out)
+    np.multiply(out, _TWO_POW_MINUS_53, out=out)
+    return out
 
 
 @dataclass(frozen=True)
@@ -104,23 +162,54 @@ class NoiseModel:
         """Noise factors for ``reps`` repetitions of each measurement.
 
         ``ids`` is a ``(n,)`` array-like of ``uint64`` measurement ids;
-        the result has shape ``(n, reps)``.
+        the result has shape ``(n, reps)`` (a transposed view of
+        :meth:`rep_factors`).
+        """
+        return self.rep_factors(ids, reps).T
+
+    def rep_factors(self, ids, reps: int) -> np.ndarray:
+        """Noise factors laid out rep-major: a C-contiguous ``(reps, n)``.
+
+        Row ``r`` holds repetition ``r`` of every measurement, so a
+        consumer can treat each repetition as one contiguous column.
+        Every step writes into buffers allocated once per call, with
+        the same ufuncs in the same order as the allocating formula,
+        so the bits match it.  Spike magnitudes are drawn only where
+        a spike fires; each value is still ``value * (1 + 2m)`` from
+        the same magnitude bits.
         """
         ids = np.asarray(ids, dtype=np.uint64).reshape(-1)
         if self.silent:
-            return np.ones((ids.shape[0], reps))
-        rep_ids = fold(ids[:, None], np.arange(reps, dtype=np.int64)[None, :])
-        u = _unit(mix64(rep_ids ^ _STREAM_U))
-        v = _unit(mix64(rep_ids ^ _STREAM_V))
-        # Box-Muller from the two uniforms.
-        gauss = np.sqrt(-2.0 * np.log(u)) * np.cos(2.0 * np.pi * v)
-        value = np.exp(self.sigma * gauss)
+            return np.ones((reps, ids.shape[0]))
+        # rep_ids[r] == fold(ids, r), the repetition's own id.
+        rep_ids = np.empty((reps, ids.shape[0]), dtype=np.uint64)
+        np.bitwise_xor(
+            (ids + _GAMMA)[None, :],
+            np.arange(reps, dtype=np.uint64)[:, None],
+            out=rep_ids,
+        )
+        bits = np.empty_like(rep_ids)
+        scratch = np.empty_like(rep_ids)
+        _mix64_in_place(rep_ids, scratch)
+        value = _stream_unit(rep_ids, _STREAM_U, bits, scratch)
+        # Box-Muller from the two uniforms: value becomes
+        # exp(sigma * sqrt(-2 log u) * cos(2 pi v)).
+        np.log(value, out=value)
+        np.multiply(value, -2.0, out=value)
+        np.sqrt(value, out=value)
+        angle = _stream_unit(rep_ids, _STREAM_V, bits, scratch)
+        np.multiply(angle, 2.0 * np.pi, out=angle)
+        np.cos(angle, out=angle)
+        np.multiply(value, angle, out=value)
+        np.multiply(value, self.sigma, out=value)
+        np.exp(value, out=value)
         if self.spike_probability > 0.0:
-            s = _unit(mix64(rep_ids ^ _STREAM_S))
-            m = _unit(mix64(rep_ids ^ _STREAM_M))
-            value = np.where(
-                s < self.spike_probability, value * (1.0 + 2.0 * m), value
-            )
+            spike = _stream_unit(rep_ids, _STREAM_S, bits, scratch, out=angle)
+            fired = np.flatnonzero(spike < self.spike_probability)
+            if fired.size:
+                flat = value.reshape(-1)
+                m = _unit(mix64(rep_ids.reshape(-1)[fired] ^ _STREAM_M))
+                flat[fired] = flat[fired] * (1.0 + 2.0 * m)
         return value
 
     def factors(self, key: str, reps: int) -> np.ndarray:

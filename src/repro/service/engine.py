@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.backends.simulated import SimulatedBackend
+from repro.core.classify import max_exact_dim
 from repro.core.discriminants import (
     BenchmarkDiscriminant,
     Discriminant,
@@ -266,6 +267,8 @@ class SelectionEngine:
         )
         self._expressions: Dict[str, Expression] = {}
         self._algorithms: Dict[str, Tuple[Algorithm, ...]] = {}
+        #: Per expression, the largest dim its FLOP counts stay exact at.
+        self._max_dims: Dict[str, int] = {}
         self.selections_served = 0
 
     # ------------------------------------------------------------------
@@ -282,8 +285,10 @@ class SelectionEngine:
                     f"unknown expression {name!r}; {expression_name_help()}"
                 )
             expression = get_expression(name)
+            algorithms = expression.algorithms()
+            self._max_dims[name] = max_exact_dim(algorithms, expression.n_dims)
+            self._algorithms[name] = algorithms
             self._expressions[name] = expression
-            self._algorithms[name] = expression.algorithms()
         return expression
 
     def algorithms_for(self, name: str) -> Tuple[Algorithm, ...]:
@@ -320,6 +325,13 @@ class SelectionEngine:
             ) from None
         if any(v < 1 for v in values):
             raise SelectionError(f"dims must be positive, got {values}")
+        bound = self._max_dims[expression.name]
+        if max(values) > bound:
+            raise SelectionError(
+                f"{expression.name} dims must be at most {bound}, got "
+                f"{values}: beyond that some plan's FLOP count reaches "
+                f"2**53 and is no longer exact"
+            )
         return values
 
     # ------------------------------------------------------------------

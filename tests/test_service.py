@@ -643,3 +643,68 @@ def test_http_malformed_request_line_is_a_400(engine):
 
     raw = asyncio.run(run())
     assert raw.startswith(b"HTTP/1.1 400 ")
+
+
+# ----------------------------------------------------------------------
+# Exact-arithmetic dims bound
+# ----------------------------------------------------------------------
+
+
+def _exact_argmin_flops(engine, expression, dims):
+    counts = [a.flops(tuple(dims)) for a in engine.algorithms_for(expression)]
+    return counts.index(min(counts))
+
+
+def test_engine_dims_bound_is_the_largest_exact_dim(engine):
+    for name in ("aatb", "chain4", "sum4"):
+        expression = engine.expression_for(name)
+        bound = engine._max_dims[name]
+        algorithms = engine.algorithms_for(name)
+        at_bound = (bound,) * expression.n_dims
+        past_bound = (bound + 1,) * expression.n_dims
+        assert max(a.flops(at_bound) for a in algorithms) < 2**53
+        assert max(a.flops(past_bound) for a in algorithms) >= 2**53
+
+
+def test_http_select_refuses_dims_past_the_exact_bound(engine):
+    bound = engine._max_dims["chain4"]
+    at_bound = [
+        [bound] * 5,
+        [bound, 10, bound, 10, bound],
+        [10, bound, 10, bound, 10],
+        [bound, 1, 1, 1, bound],
+    ]
+
+    def body(dims):
+        return {"expression": "chain4", "dims": dims,
+                "discriminant": "min-flops", "annotate": False}
+
+    async def run():
+        service = SelectionService(engine, port=0)
+        await service.start()
+        port = service.port
+        out = {
+            "wrapping": await _request(
+                port, "POST", "/select",
+                body([3000000, 10, 3000000, 10, 3000000]),
+            ),
+            "past": await _request(
+                port, "POST", "/select", body([bound + 1, 10, 10, 10, 10])
+            ),
+            "at": [
+                await _request(port, "POST", "/select", body(dims))
+                for dims in at_bound
+            ],
+        }
+        await service.stop()
+        return out
+
+    out = asyncio.run(run())
+    for status, payload in (out["wrapping"], out["past"]):
+        assert status == 400
+        assert f"at most {bound}" in payload["error"]
+    for dims, (status, payload) in zip(at_bound, out["at"]):
+        assert status == 200
+        assert payload["algorithm"]["index"] == _exact_argmin_flops(
+            engine, "chain4", dims
+        )
