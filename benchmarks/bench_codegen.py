@@ -12,8 +12,8 @@ interpreted ones exactly.
 
 The interpreter side below is the literal pre-codegen path: whole
 instance columns through each algorithm's FLOP polynomial plus
-``batch_kernel_calls`` over the interpreted call sequence — the same
-code ``REPRO_NO_CODEGEN=1`` falls back to.
+``batch_kernel_calls`` over the interpreted call sequence — the
+oracle the generated functions are tested against.
 """
 
 import random

@@ -57,28 +57,11 @@ def parse_cache_store() -> str:
         raise pytest.UsageError(str(exc)) from None
 
 
-def parse_no_scheduler() -> str:
-    """Validate ``REPRO_NO_SCHEDULER`` before any study pipeline runs.
-
-    The knob is tri-state by design (unset/``0`` = scheduler on,
-    ``1`` = off); anything else — ``true``, ``yes``, a typo — would be
-    silently treated as "on" by the lazy probe, which is exactly the
-    wrong surprise during an ablation run.
-    """
-    raw = os.environ.get("REPRO_NO_SCHEDULER")
-    if raw is None or raw in ("", "0", "1"):
-        return raw or ""
-    raise pytest.UsageError(
-        f"REPRO_NO_SCHEDULER must be unset, '', '0' or '1', got {raw!r}"
-    )
-
-
 @pytest.fixture(scope="session")
 def fig_config() -> FigureConfig:
     scale = parse_bench_scale(os.environ.get("REPRO_BENCH_SCALE", "quick"))
     seed = parse_bench_seed(os.environ.get("REPRO_BENCH_SEED", "0"))
     parse_cache_store()
-    parse_no_scheduler()
     return FigureConfig(scale=scale, seed=seed)
 
 

@@ -17,9 +17,7 @@ validated *up front*: a typo is an argparse usage error (exit 2)
 listing the valid names, never a KeyError traceback from the middle of
 a study run.  ``--list-components`` prints the registry and exits.
 
-The exit code is the machine check: ``1`` when any inert
-(bit-preserving-by-contract) component moved abundance, recall or
-precision — or when a study failed — ``0`` otherwise.
+The exit code is ``1`` when a study failed, ``0`` otherwise.
 
 ``python -m repro.runner --ablation`` drives the same code path with
 the runner's store/jobs flags.
@@ -211,9 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
 def list_components_text() -> str:
     lines = []
     for component in COMPONENTS.values():
-        marker = " [inert]" if component.inert else ""
         lines.append(
-            f"{component.name:38s} {component.kind:9s}{marker}"
+            f"{component.name:38s} {component.kind:9s}"
             f"  {component.description}"
         )
     return "\n".join(lines)
@@ -234,7 +231,7 @@ def execute(
     """Run one ablation and render it; the shared CLI body.
 
     Returns the process exit code: 0 on a clean run, 1 when a study
-    failed or an inert component moved the science.
+    failed.
     """
     config_kwargs = dict(
         scale=scale,
@@ -262,13 +259,6 @@ def execute(
     if report_dir is not None:
         json_path, markdown_path = write_report(report, Path(report_dir))
         print(f"wrote {json_path} and {markdown_path}")
-    if report.inert_violations:
-        print(
-            f"error: {len(report.inert_violations)} inert-component "
-            "violation(s) — bit-preserving layers moved the science "
-            "(see the report's inert check)"
-        )
-        return 1
     return 0
 
 

@@ -7,9 +7,9 @@ things:
 
 * **How the study changes.**  Most components map to a
   :class:`StudyVariant` — a named, deterministic modification of the
-  study pipeline (a different machine construction, an environment
-  knob applied around the pipeline, a recompilation under a tighter
-  pruning budget) — or to a non-default machine *schedule*.  Variants
+  study pipeline (a different machine construction or a recompilation
+  under a tighter pruning budget) — or to a non-default machine
+  *schedule*.  Variants
   participate in the :class:`~repro.figures.cache.StudyKey`, so
   variant studies ride the same parallel runner and
   :class:`~repro.figures.cache.StudyStore` cache as baseline ones and
@@ -20,13 +20,6 @@ things:
   voting "this instance is anomalous"); see
   :mod:`repro.ablation.harness`.
 
-Components marked ``inert=True`` are performance layers that are
-*bit-preserving by contract* (the scheduler's default-schedule
-transforms, plan codegen): flipping them off must not move abundance,
-recall or precision at all.  The harness turns that contract into a
-machine check — a non-zero delta on an inert component fails the run,
-which is exactly the regression CI wants to catch.
-
 This module sits low on purpose: it imports machine presets,
 expression construction and the compiler's :class:`PruneConfig`, but
 never the figures/runner layers — so :mod:`repro.figures.common`
@@ -36,10 +29,8 @@ without an import cycle.
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.expressions.compiler import CompiledExpression, PruneConfig
 from repro.expressions.registry import get_expression
@@ -86,10 +77,6 @@ class StudyVariant:
     """One named, deterministic modification of the study pipeline.
 
     ``machine``       which preset builds the study machine.
-    ``env``           environment overrides applied around the whole
-                      pipeline (and the harness's detection pass) —
-                      the lazily-probed hot-loop knobs
-                      (``REPRO_NO_SCHEDULER``/``REPRO_NO_CODEGEN``).
     ``prune_budget``  when set, every expression is recompiled under
                       ``PruneConfig(budget=...)`` — the compiler keeps
                       only the cost-ranked cheapest parenthesisation
@@ -99,7 +86,6 @@ class StudyVariant:
     name: str
     description: str
     machine: str = "paper"
-    env: Tuple[Tuple[str, str], ...] = ()
     prune_budget: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -131,21 +117,6 @@ class StudyVariant:
             )
         return expression.with_prune(PruneConfig(budget=self.prune_budget))
 
-    @contextmanager
-    def applied_env(self) -> Iterator[None]:
-        """Apply the variant's env overrides, restoring on exit."""
-        saved = {key: os.environ.get(key) for key, _value in self.env}
-        try:
-            for key, value in self.env:
-                os.environ[key] = value
-            yield
-        finally:
-            for key, previous in saved.items():
-                if previous is None:
-                    os.environ.pop(key, None)
-                else:
-                    os.environ[key] = previous
-
 
 #: name → StudyVariant; ``default`` is the identity.
 STUDY_VARIANTS: Dict[str, StudyVariant] = {
@@ -172,18 +143,6 @@ STUDY_VARIANTS: Dict[str, StudyVariant] = {
             description="internal kernel-variant dispatch off "
             "(no abrupt efficiency jumps)",
             machine="no-variants",
-        ),
-        StudyVariant(
-            name="no-scheduler",
-            description="plan scheduler off (REPRO_NO_SCHEDULER=1); "
-            "bit-preserving by contract",
-            env=(("REPRO_NO_SCHEDULER", "1"),),
-        ),
-        StudyVariant(
-            name="no-codegen",
-            description="generated plan evaluators off "
-            "(REPRO_NO_CODEGEN=1); bit-preserving by contract",
-            env=(("REPRO_NO_CODEGEN", "1"),),
         ),
         StudyVariant(
             name="prune-budget-1",
@@ -221,7 +180,7 @@ class Component:
 
     name: str
     description: str
-    #: "machine" | "env" | "pruning" | "schedule" | "detector"
+    #: "machine" | "pruning" | "schedule" | "detector"
     kind: str
     #: Study variant the component maps to (``default`` when the
     #: component changes the schedule or the detector ensemble).
@@ -230,8 +189,6 @@ class Component:
     schedule: str = "default"
     #: Detector dropped from the ensemble (detector components only).
     dropped_detector: Optional[str] = None
-    #: Bit-preserving layers whose deltas must be exactly zero.
-    inert: bool = False
 
     def __post_init__(self) -> None:
         if self.variant not in STUDY_VARIANTS:
@@ -289,22 +246,6 @@ COMPONENTS: Dict[str, Component] = {
             description="cost-guided tree pruning swept to budget 2",
         ),
         Component(
-            name="no-scheduler",
-            kind="env",
-            variant="no-scheduler",
-            inert=True,
-            description="plan scheduler (buffer reuse, fusion, "
-            "default-schedule transforms are bit-preserving)",
-        ),
-        Component(
-            name="no-codegen",
-            kind="env",
-            variant="no-codegen",
-            inert=True,
-            description="generated plan evaluators (bit-equal to the "
-            "interpreter by contract)",
-        ),
-        Component(
             name="schedule-min-interference",
             kind="schedule",
             schedule="min-interference",
@@ -358,18 +299,10 @@ def get_component(name: str) -> Component:
 
 
 def ablation_stats() -> dict:
-    """Registry + env-knob snapshot for ``GET /stats``."""
-    from repro.envknobs import scheduler_enabled
-    from repro.expressions.codegen import codegen_enabled
-
+    """Registry snapshot for ``GET /stats``."""
     return {
         "components": len(COMPONENTS),
         "component_names": list(component_names()),
-        "inert_components": [
-            c.name for c in COMPONENTS.values() if c.inert
-        ],
         "study_variants": sorted(STUDY_VARIANTS),
         "detectors": list(DETECTORS),
-        "scheduler_enabled": scheduler_enabled(),
-        "codegen_enabled": codegen_enabled(),
     }

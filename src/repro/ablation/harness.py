@@ -2,9 +2,9 @@
 
 For every requested :class:`~repro.ablation.components.Component` the
 harness runs the full study pipeline with *exactly one* thing changed
-from the baseline — a machine mechanism off, an env knob flipped, a
-pruning budget tightened, a schedule forced, or one detector removed
-from the anomaly-detection ensemble — and measures the paper's
+from the baseline — a machine mechanism off, a pruning budget
+tightened, a schedule forced, or one detector removed from the
+anomaly-detection ensemble — and measures the paper's
 headline statistics per expression family:
 
 * **abundance** — Experiment 1's anomaly rate inside the search box;
@@ -23,10 +23,6 @@ the overnight full-scale workflow) finds them warm.  Every quantity is
 deterministic in ``(scale, seed, box, expressions, components)``; the
 rendered reports are byte-identical across re-runs, which is what lets
 CI diff them.
-
-Components marked *inert* (scheduler, codegen) are bit-preserving
-performance layers: the harness fails the run when any of their deltas
-is non-zero — the "did this PR change the science?" machine check.
 """
 
 from __future__ import annotations
@@ -142,16 +138,6 @@ class ComponentResult:
 
 
 @dataclass(frozen=True)
-class InertViolation:
-    """An inert component that moved a science metric."""
-
-    component: str
-    expression: str
-    metric: str
-    delta: float
-
-
-@dataclass(frozen=True)
 class AblationReport:
     """Everything the rendered JSON/markdown reports carry."""
 
@@ -162,12 +148,7 @@ class AblationReport:
     baseline: Dict[str, ScienceMetrics]
     #: Ranked: descending importance, name ascending on ties.
     results: Tuple[ComponentResult, ...]
-    inert_violations: Tuple[InertViolation, ...]
     run_report: Optional[RunReport] = None
-
-    @property
-    def ok(self) -> bool:
-        return not self.inert_violations
 
 
 @dataclass(frozen=True)
@@ -247,8 +228,7 @@ class _DetectionContext:
         self.config = config
         self.variant = get_variant(config.variant)
         self.backend = config.build_backend()
-        with self.variant.applied_env():
-            self.profiles = standard_profiles(self.backend)
+        self.profiles = standard_profiles(self.backend)
 
     def expression(self, name: str) -> Expression:
         return self.variant.expression_for(name)
@@ -285,19 +265,14 @@ class _DetectionContext:
         expression = self.expression(expression_name)
         algorithms = expression.algorithms()
         instances = [cell.instance for cell in cells]
-        with self.variant.applied_env():
-            base_picks = MinFlopsDiscriminant().select_batch(
-                algorithms, instances
-            )
-            flagged = [False] * len(cells)
-            for name in enabled:
-                picks = self.detector(name).select_batch(
-                    algorithms, instances
-                )
-                flagged = [
-                    flag or pick != base
-                    for flag, pick, base in zip(flagged, picks, base_picks)
-                ]
+        base_picks = MinFlopsDiscriminant().select_batch(algorithms, instances)
+        flagged = [False] * len(cells)
+        for name in enabled:
+            picks = self.detector(name).select_batch(algorithms, instances)
+            flagged = [
+                flag or pick != base
+                for flag, pick, base in zip(flagged, picks, base_picks)
+            ]
         tp = fp = fn = tn = 0
         for cell, predicted in zip(cells, flagged):
             if cell.is_anomaly and predicted:
@@ -374,28 +349,6 @@ def compute_deltas(
     return tuple(
         sorted(results, key=lambda r: (-r.importance, r.component.name))
     )
-
-
-def find_inert_violations(
-    results: Sequence[ComponentResult],
-) -> Tuple[InertViolation, ...]:
-    violations = []
-    for result in results:
-        if not result.component.inert:
-            continue
-        for expression in sorted(result.deltas):
-            for metric in METRIC_NAMES:
-                delta = result.deltas[expression][metric]
-                if delta != 0.0:
-                    violations.append(
-                        InertViolation(
-                            component=result.component.name,
-                            expression=expression,
-                            metric=metric,
-                            delta=delta,
-                        )
-                    )
-    return tuple(violations)
 
 
 def run_ablation(
@@ -478,6 +431,5 @@ def run_ablation(
         expressions=tuple(config.expressions),
         baseline=baseline,
         results=results,
-        inert_violations=find_inert_violations(results),
         run_report=run_report,
     )

@@ -30,7 +30,7 @@ from repro.ablation.harness import (
 from repro.ablation.components import DETECTORS
 
 #: Bumped whenever the JSON payload shape changes.
-REPORT_SCHEMA = 1
+REPORT_SCHEMA = 2
 
 JSON_NAME = "ablation-report.json"
 MARKDOWN_NAME = "ablation-report.md"
@@ -46,7 +46,6 @@ def report_payload(report: AblationReport) -> dict:
                 "rank": rank,
                 "name": component.name,
                 "kind": component.kind,
-                "inert": component.inert,
                 "description": component.description,
                 "importance": result.importance,
                 "metrics": {
@@ -75,15 +74,6 @@ def report_payload(report: AblationReport) -> dict:
             for expression in report.expressions
         },
         "components": components,
-        "inert_violations": [
-            {
-                "component": violation.component,
-                "expression": violation.expression,
-                "metric": violation.metric,
-                "delta": violation.delta,
-            }
-            for violation in report.inert_violations
-        ],
     }
 
 
@@ -142,17 +132,15 @@ def report_markdown(report: AblationReport) -> str:
     lines.append("")
     lines.append(
         "Importance is the largest absolute delta a component induces "
-        "on any (expression, metric); inert components must stay at "
-        "exactly zero."
+        "on any (expression, metric)."
     )
     lines.append("")
-    lines.append("| rank | component | kind | inert | importance |")
-    lines.append("|---|---|---|---|---|")
+    lines.append("| rank | component | kind | importance |")
+    lines.append("|---|---|---|---|")
     for rank, result in enumerate(report.results, start=1):
         component = result.component
         lines.append(
             f"| {rank} | {component.name} | {component.kind} | "
-            f"{'yes' if component.inert else 'no'} | "
             f"{result.importance:.6f} |"
         )
     lines.append("")
@@ -174,24 +162,6 @@ def report_markdown(report: AblationReport) -> str:
                 f"| {expression} | {_metric_row(result, expression)} |"
             )
         lines.append("")
-
-    lines.append("## Inert check")
-    lines.append("")
-    if report.inert_violations:
-        lines.append(
-            "**FAILED** — bit-preserving components moved the science:"
-        )
-        lines.append("")
-        for violation in report.inert_violations:
-            lines.append(
-                f"- `{violation.component}` moved {violation.metric} on "
-                f"{violation.expression} by {violation.delta:+.9g}"
-            )
-    else:
-        lines.append(
-            "Passed: every inert component's deltas are exactly zero."
-        )
-    lines.append("")
     return "\n".join(lines)
 
 

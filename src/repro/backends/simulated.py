@@ -23,11 +23,10 @@ algorithm, and each algorithm's column is a vectorized gather by id.
 The batch methods are the fast path: a whole batch of instances flows
 through the vectorized machine in one call.  An algorithm's kernel
 structure is instance-independent (only the dims vary), so the call
-sequence is built *once* by feeding the calls builder whole instance
-columns — the same polynomial machinery that serves the symbolic
-analysis — and stacking the resulting per-call dim columns into
-``(n, arity)`` matrices.  The scalar methods are the batch methods on
-one-row batches, so they share the same memo rows.
+sequence is built *once* per batch by the plan's generated builder,
+one gather of the instance columns into per-call ``(n, arity)`` dims
+matrices.  The scalar methods are the batch methods on one-row
+batches, so they share the same memo rows.
 """
 
 from __future__ import annotations
@@ -153,12 +152,10 @@ class SimulatedBackend(Backend):
     def _batched_calls(
         self, algorithm: Algorithm, arr: np.ndarray
     ) -> Tuple[KernelCallBatch, ...]:
-        # Compiled per-plan builder when the algorithm carries one
-        # (shape indices resolved at codegen time); interpreted
-        # column batching otherwise.  Same batches either way.
-        # Non-default machine schedules permute each plan's step order
-        # by the model's interference term (the schedule-as-scenario
-        # axis).
+        # The plan's compiled builder (shape indices resolved at
+        # codegen time).  Non-default machine schedules permute each
+        # plan's step order by the model's interference term (the
+        # schedule-as-scenario axis).
         batches = algorithm.kernel_call_batches(arr)
         if self.machine.schedule == "default":
             return batches

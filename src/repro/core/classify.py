@@ -165,33 +165,21 @@ def batch_flops(
 ) -> np.ndarray:
     """Exact ``(n, A)`` int64 FLOP counts, one column per algorithm.
 
-    Algorithms carrying a codegen provider evaluate through their
-    compiled column expression; plans sharing one FLOP polynomial
-    share one compiled function *object*, so those evaluations are
-    deduped by function identity and computed once per batch (aatb's
-    five algorithms, for instance, hold only three distinct
-    polynomials).  Algorithms without a provider fall back to the
-    interpreted whole-column polynomial evaluation.
+    Each algorithm evaluates through its compiled column expression;
+    plans sharing one FLOP polynomial share one compiled function
+    *object*, so those evaluations are deduped by function identity
+    and computed once per batch (aatb's five algorithms, for
+    instance, hold only three distinct polynomials).
     """
     n = instances_matrix.shape[0]
     out = np.empty((n, len(algorithms)), dtype=np.int64)
     shared: dict = {}
-    columns = None
     for j, algorithm in enumerate(algorithms):
         fn = algorithm.flops_batch_function()
-        if fn is not None:
-            key = id(fn)
-            column = shared.get(key)
-            if column is None:
-                column = shared[key] = fn(instances_matrix)
-            out[:, j] = column
-        else:
-            if columns is None:
-                columns = tuple(
-                    instances_matrix[:, i]
-                    for i in range(instances_matrix.shape[1])
-                )
-            out[:, j] = np.asarray(algorithm.flops(columns), dtype=np.int64)
+        column = shared.get(id(fn))
+        if column is None:
+            column = shared[id(fn)] = fn(instances_matrix)
+        out[:, j] = column
     return out
 
 

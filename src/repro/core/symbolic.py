@@ -11,10 +11,10 @@ map straight through), we can:
   everything else is discarded at compile time
   (:func:`possibly_cheapest`).
 
-The polynomial arithmetic is a small self-contained implementation
-(the ``SizeVarAllocator``-style symbolic-shape machinery of
-torchdynamo/torchinductor inspired the dim-as-symbol approach, but a
-full sympy dependency is unnecessary for degree-3 polynomials).
+The polynomials are :class:`~repro.expressions.shapes.SizeExpr`
+values: exact integer polynomials over dim symbols, the same type the
+compiler's pruning and codegen use (the ``SizeVarAllocator`` idea of
+torchinductor, without a sympy dependency).
 """
 
 from __future__ import annotations
@@ -24,133 +24,23 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.expressions.base import Algorithm
+from repro.expressions.shapes import SizeExpr, dim_symbols
 
 #: Grid-enumeration budget for the exact analysis.
 _EXACT_LIMIT = 300_000
 
 
-class Poly:
-    """Multivariate polynomial with exact integer-friendly coefficients.
-
-    Monomials are exponent tuples over ``n_vars`` variables.  Supports
-    ``+`` and ``*`` with Polys and numbers — enough to flow through
-    any FLOP formula.
-    """
-
-    __slots__ = ("n_vars", "coeffs")
-
-    def __init__(
-        self, n_vars: int, coeffs: Dict[Tuple[int, ...], float] | None = None
-    ) -> None:
-        self.n_vars = n_vars
-        self.coeffs: Dict[Tuple[int, ...], float] = {}
-        if coeffs:
-            for mono, coeff in coeffs.items():
-                if coeff:
-                    self.coeffs[mono] = coeff
-
-    # -- construction ---------------------------------------------------
-
-    @classmethod
-    def variable(cls, index: int, n_vars: int) -> "Poly":
-        mono = tuple(1 if i == index else 0 for i in range(n_vars))
-        return cls(n_vars, {mono: 1})
-
-    @classmethod
-    def constant(cls, value, n_vars: int) -> "Poly":
-        return cls(n_vars, {(0,) * n_vars: value})
-
-    def _coerce(self, other) -> "Poly":
-        if isinstance(other, Poly):
-            if other.n_vars != self.n_vars:
-                raise ValueError("mixed variable spaces")
-            return other
-        return Poly.constant(other, self.n_vars)
-
-    # -- arithmetic -----------------------------------------------------
-
-    def __add__(self, other) -> "Poly":
-        other = self._coerce(other)
-        out = dict(self.coeffs)
-        for mono, coeff in other.coeffs.items():
-            out[mono] = out.get(mono, 0) + coeff
-        return Poly(self.n_vars, out)
-
-    __radd__ = __add__
-
-    def __mul__(self, other) -> "Poly":
-        other = self._coerce(other)
-        out: Dict[Tuple[int, ...], float] = {}
-        for m1, c1 in self.coeffs.items():
-            for m2, c2 in other.coeffs.items():
-                mono = tuple(a + b for a, b in zip(m1, m2))
-                out[mono] = out.get(mono, 0) + c1 * c2
-        return Poly(self.n_vars, out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.n_vars == other.n_vars and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.n_vars, frozenset(self.coeffs.items())))
-
-    # -- queries --------------------------------------------------------
-
-    @property
-    def degree(self) -> int:
-        return max((sum(m) for m in self.coeffs), default=0)
-
-    def evaluate(self, values: Sequence[float]) -> float:
-        if len(values) != self.n_vars:
-            raise ValueError("wrong number of values")
-        total = 0.0
-        for mono, coeff in self.coeffs.items():
-            term = coeff
-            for value, exponent in zip(values, mono):
-                if exponent:
-                    term *= value**exponent
-            total += term
-        return total
-
-    def render(self, names: Sequence[str]) -> str:
-        """Human-readable form, highest-degree terms first."""
-        if len(names) != self.n_vars:
-            raise ValueError("need one name per variable")
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for mono in sorted(
-            self.coeffs, key=lambda m: (-sum(m), tuple(-e for e in m))
-        ):
-            coeff = self.coeffs[mono]
-            factors = []
-            if coeff != 1 or not any(mono):
-                factors.append(f"{coeff:g}")
-            for name, exponent in zip(names, mono):
-                if exponent == 1:
-                    factors.append(name)
-                elif exponent > 1:
-                    factors.append(f"{name}^{exponent}")
-            parts.append("*".join(factors))
-        return " + ".join(parts)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Poly({self.render([f'x{i}' for i in range(self.n_vars)])})"
-
-
-def flop_polynomial(algorithm: Algorithm, n_dims: int | None = None) -> Poly:
+def flop_polynomial(
+    algorithm: Algorithm, n_dims: int | None = None
+) -> SizeExpr:
     """The algorithm's FLOP count as an explicit polynomial."""
     if n_dims is None:
         from repro.expressions.registry import get_expression
 
         n_dims = get_expression(algorithm.expression).n_dims
-    variables = [Poly.variable(i, n_dims) for i in range(n_dims)]
-    total = algorithm.flops(variables)
-    if not isinstance(total, Poly):  # constant-FLOP corner case
-        total = Poly.constant(total, n_dims)
+    total = algorithm.flops(dim_symbols(n_dims))
+    if not isinstance(total, SizeExpr):  # constant-FLOP corner case
+        total = SizeExpr.constant(total)
     return total
 
 
@@ -225,12 +115,12 @@ def possibly_cheapest(
             point[dim] = value
         for dim, value in zip(free_dims, combo):
             point[dim] = value
-        counts = [p.evaluate(point) for p in polynomials]
+        counts = [p.size_hint(point) for p in polynomials]
         minimum = min(counts)
         for i, count in enumerate(counts):
             if count == minimum:
                 certain.setdefault(i, tuple(point))
-            elif not exact and count <= minimum * 1.02:
+            elif not exact and 50 * count <= 51 * minimum:  # within 2%
                 near.add(i)
 
     certain_idx = tuple(sorted(certain))

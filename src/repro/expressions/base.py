@@ -11,43 +11,31 @@ machine, and the symbolic analysis in :mod:`repro.core.symbolic`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.kernels.types import (
-    KernelCall,
-    KernelCallBatch,
-    batch_kernel_calls,
-)
+from repro.kernels.types import KernelCall, KernelCallBatch
 
 #: Builds the kernel-call sequence for a concrete (or symbolic) instance.
 CallsBuilder = Callable[[Sequence[Any]], Tuple[KernelCall, ...]]
-
-#: Executes the algorithm on real operand matrices (real-BLAS backend).
-Executor = Callable[[Sequence[np.ndarray]], np.ndarray]
 
 
 @dataclass(frozen=True)
 class Algorithm:
     """One equivalent evaluation strategy for an expression.
 
-    ``codegen`` is an optional provider of compiled batch evaluators
-    (duck-typed: ``flops_fn()`` / ``calls_fn()`` returning a callable
-    over an ``(n, n_dims)`` int64 instance matrix, or None when
-    disabled — see :class:`repro.expressions.codegen.PlanCodegen`).
-    The batch methods below consult it first and fall back to the
-    interpreted column path, so hand-built algorithms without a
-    provider keep working unchanged.
+    ``codegen`` is the plan's compiled provider
+    (:class:`repro.expressions.codegen.PlanCodegen`): the batch
+    methods and ``execute`` run its generated functions.
+    ``kernel_calls``/``flops`` interpret the plan, which is what the
+    symbolic analysis and the tests' oracle comparisons use.
     """
 
     name: str
     expression: str
     calls_builder: CallsBuilder = field(compare=False, repr=False)
-    executor: Optional[Executor] = field(
-        default=None, compare=False, repr=False
-    )
-    codegen: Optional[Any] = field(default=None, compare=False, repr=False)
+    codegen: Any = field(compare=False, repr=False)
 
     def kernel_calls(self, instance: Sequence[Any]) -> Tuple[KernelCall, ...]:
         return self.calls_builder(instance)
@@ -59,52 +47,28 @@ class Algorithm:
             total = total + call.flops
         return total
 
-    def flops_batch_function(self):
-        """The compiled batch FLOP evaluator, or None.
+    def flops_batch_function(self) -> Callable[[np.ndarray], np.ndarray]:
+        """The compiled batch FLOP evaluator.
 
         Plans sharing one FLOP polynomial share one function *object*,
         so callers evaluating many algorithms may dedupe whole
         evaluations by function identity (``core.classify.batch_flops``
         does).
         """
-        if self.codegen is None:
-            return None
         return self.codegen.flops_fn()
 
     def flops_batch(self, instances_matrix: np.ndarray) -> np.ndarray:
         """Exact ``(n,)`` int64 FLOPs over an ``(n, n_dims)`` int64 matrix."""
-        fn = self.flops_batch_function()
-        if fn is not None:
-            return fn(instances_matrix)
-        n = instances_matrix.shape[0]
-        columns = tuple(
-            instances_matrix[:, i] for i in range(instances_matrix.shape[1])
-        )
-        return np.broadcast_to(
-            np.asarray(self.flops(columns), dtype=np.int64), (n,)
-        )
+        return self.codegen.flops_fn()(instances_matrix)
 
     def kernel_call_batches(
         self, instances_matrix: np.ndarray
     ) -> Tuple[KernelCallBatch, ...]:
         """One :class:`KernelCallBatch` per call slot over a batch."""
-        if self.codegen is not None:
-            fn = self.codegen.calls_fn()
-            if fn is not None:
-                return fn(instances_matrix)
-        columns = tuple(
-            instances_matrix[:, i] for i in range(instances_matrix.shape[1])
-        )
-        return batch_kernel_calls(
-            self.kernel_calls(columns), instances_matrix.shape[0]
-        )
+        return self.codegen.calls_fn()(instances_matrix)
 
     def execute(self, operands: Sequence[np.ndarray]) -> np.ndarray:
-        if self.executor is None:
-            raise NotImplementedError(
-                f"{self.name} has no real-BLAS executor"
-            )
-        return self.executor(operands)
+        return self.codegen.execute(operands)
 
 
 class Expression:

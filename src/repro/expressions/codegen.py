@@ -8,7 +8,7 @@ functions as Python source and ``compile()``s each exactly once:
 
 * a **batch FLOP evaluator**: the step list collapsed into one
   closed-form NumPy column expression (constants folded, common
-  factors extracted by :meth:`repro.expressions.shapes.SizeExpr.render`);
+  factors extracted by :meth:`repro.expressions.shapes.SizeExpr.source`);
 * a **kernel-call-batch builder**: shape indices resolved at codegen
   time into a single fancy-index gather plus per-call column slices,
   with :class:`~repro.kernels.types.KernelCallBatch` objects built
@@ -16,13 +16,16 @@ functions as Python source and ``compile()``s each exactly once:
   by construction, so the per-call validation is skipped);
 * a **NumPy/BLAS executor**: the step loop unrolled into straight-line
   calls of the same :mod:`repro.expressions.blas` wrappers in the same
-  order as ``Plan.execute`` (bit-identical results), with temp-buffer
-  slots preassigned by liveness so intermediate arrays are dropped as
-  early as the interpreter would drop them.  When the plan scheduler
-  is enabled (the default; see :mod:`repro.expressions.scheduler`) the
-  emitted body additionally applies its buffer-reuse, ADD-fusion and
-  in-place-fill decisions — still bit-identical, cached separately per
-  scheduler mode.
+  order as ``Plan.execute``, with temp-buffer slots preassigned by
+  liveness and the plan scheduler's buffer-reuse, ADD-fusion and
+  in-place-fill decisions applied (see
+  :mod:`repro.expressions.scheduler`).  Every in-place form is
+  bit-equal to its allocating counterpart, so the result equals
+  ``Plan.execute``'s bit for bit.
+
+These are the only runtime path.  The interpreter (``Plan.execute``,
+``Plan.flops``/``kernel_calls`` and ``batch_kernel_calls``) is the
+oracle tests and micro-benches compare them against.
 
 Compiled code is cached two ways: per structural *plan signature*
 (CSE-equal plans — identical leaves and steps — share all three
@@ -30,11 +33,6 @@ functions) and, for the FLOP evaluator, per canonical FLOP polynomial
 (plans that differ only in association share one evaluator object,
 which lets ``core.classify.batch_flops`` dedupe whole evaluations by
 function identity).
-
-``REPRO_NO_CODEGEN=1`` disables the layer: the environment is checked
-lazily on every use, so flipping it at runtime falls back to (or
-re-enables from) the interpreted path without rebuilding registries —
-and a disabled process never compiles anything.
 
 Adding a kernel: teach the IR/compiler its lowering, then register one
 line in :data:`EXECUTOR_EMITTERS` mapping the new
@@ -46,26 +44,17 @@ kernel's arity and FLOP formula.
 
 from __future__ import annotations
 
-import os
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.envknobs import scheduler_enabled
 from repro.expressions import blas
 from repro.expressions.ir import AddExpr
-from repro.expressions.scheduler import (
-    PlanDecisions,
-    schedule_decisions,
-    scheduled_execute,
-)
+from repro.expressions.scheduler import PlanDecisions, schedule_decisions
 from repro.expressions.shapes import SizeExpr, dim_symbols
 from repro.kernels.types import KernelCallBatch, KernelName
 
-#: (plan signature, scheduled?) → compiled :class:`PlanCode`.  The
-#: scheduled and plain executors differ (buffer reuse, fused ADDs,
-#: in-place fills), so each mode compiles its own entry; flipping
-#: ``REPRO_NO_SCHEDULER`` at runtime switches between them lazily.
+#: Plan signature → compiled :class:`PlanCode`.
 _PLAN_CACHE: Dict[tuple, "PlanCode"] = {}
 
 #: Canonical FLOP-polynomial key → (compiled evaluator, its source).
@@ -80,31 +69,9 @@ _STATS = {
 }
 
 
-# The enabled probe runs twice per algorithm per batch (flops + calls)
-# on the study hot loop; ``os.environ.get`` costs ~0.8us through the
-# Mapping machinery, so read CPython's raw environ dict when it is
-# exposed (keys/values are fsencoded bytes on posix).  Mutations via
-# ``os.environ[...]``/``monkeypatch.setenv`` update the same dict.
-_ENVIRON_DATA = getattr(os.environ, "_data", None)
-_NO_CODEGEN_KEY = (
-    os.fsencode("REPRO_NO_CODEGEN")
-    if isinstance(next(iter(_ENVIRON_DATA), b""), bytes)
-    else "REPRO_NO_CODEGEN"
-) if _ENVIRON_DATA is not None else None
-
-
-def codegen_enabled() -> bool:
-    """Whether generated evaluators are in use (checked lazily per call)."""
-    if _ENVIRON_DATA is not None:
-        raw = _ENVIRON_DATA.get(_NO_CODEGEN_KEY)
-        return raw is None or raw in (b"", b"0", "", "0")
-    return os.environ.get("REPRO_NO_CODEGEN", "") in ("", "0")
-
-
 def codegen_stats() -> dict:
     """Cache sizes and hit counters for ``GET /stats`` and tests."""
     return {
-        "enabled": codegen_enabled(),
         "plan_cache_size": len(_PLAN_CACHE),
         "plan_cache_hits": _STATS["plan_cache_hits"],
         "plans_compiled": _STATS["plans_compiled"],
@@ -191,7 +158,7 @@ def _emit_flops_source(poly: SizeExpr) -> str:
     for dim in dims:
         lines.append(f"    c{dim} = arr[:, {dim}]")
     if dims:
-        lines.append(f"    return {poly.render(lambda d: f'c{d}')}")
+        lines.append(f"    return {poly.source(lambda d: f'c{d}')}")
     else:
         constant = poly.size_hint(())
         lines.append(
@@ -278,48 +245,28 @@ EXECUTOR_EMITTERS: Dict[KernelName, Callable] = {
 }
 
 
-def _step_inputs(step) -> List[int]:
-    """Indices of prior steps whose values this step reads."""
-    inputs = []
-    for ref in (step.left, step.right):
-        if ref is not None and ref.is_step:
-            inputs.append(ref.index)
-    if step.accumulate is not None:
-        inputs.append(step.accumulate)
-    return inputs
-
-
-def _emit_execute_source(
-    plan, decisions: Optional[PlanDecisions] = None
-) -> Tuple[str, dict]:
+def _emit_execute_source(plan, decisions: PlanDecisions) -> Tuple[str, dict]:
     """Straight-line executor with liveness-assigned temp slots.
 
     Replays exactly the wrapper calls ``Plan.execute`` issues, in the
     same order with the same arguments.  Slots are reused once their
     value's last reader has run; an accumulation target stays blocked
-    through its step because ``t_out = t_acc + t_out`` reads it
-    *after* the main call's assignment.
+    through its step because the accumulating add reads it *after*
+    the main call's assignment.
 
-    With ``decisions`` (the scheduler's :class:`PlanDecisions`), the
-    emitted body additionally recycles dead buffers as ``out=``
-    targets, collapses ADD chains into in-place accumulations and
-    symmetrizes single-consumer SYRK triangles in place — every form
-    bit-equal to its allocating counterpart, so scheduled and plain
-    executors return identical arrays.
+    The scheduler's ``decisions`` recycle dead buffers as ``out=``
+    targets, collapse ADD chains into in-place accumulations and
+    symmetrize single-consumer SYRK triangles in place — every form
+    bit-equal to its allocating counterpart, so the executor returns
+    exactly ``Plan.execute``'s array.
     """
     steps = plan.steps
-    last_use = [0] * len(steps)
-    for i, step in enumerate(steps):
-        for source in _step_inputs(step):
-            last_use[source] = max(last_use[source], i)
-    last_use[len(steps) - 1] = len(steps)
+    last_use = decisions.last_use
 
     # Values whose buffer the scheduler hands to a later step must keep
     # their slot name bound until the claim site.
-    claimed = set()
-    if decisions is not None:
-        claimed.update(v for v in decisions.fuse_into if v is not None)
-        claimed.update(v for v in decisions.reuse_from if v is not None)
+    claimed = {v for v in decisions.fuse_into if v is not None}
+    claimed.update(v for v in decisions.reuse_from if v is not None)
 
     def ref_src(ref) -> str:
         if ref.is_step:
@@ -348,8 +295,8 @@ def _emit_execute_source(
         )
         free.extend(s for s in dying if s not in blocked)
         free.sort()
-        fuse = decisions.fuse_into[i] if decisions is not None else None
-        reuse = decisions.reuse_from[i] if decisions is not None else None
+        fuse = decisions.fuse_into[i]
+        reuse = decisions.reuse_from[i]
         if fuse is not None:
             # In-place ADD-chain collapse: the dying operand's slot
             # becomes the output, no allocation.
@@ -370,16 +317,13 @@ def _emit_execute_source(
             rhs = f"{rhs[:-1]}, out={out})"
         lines.append(f"    {out} = {rhs}")
         if step.copy_to_full:
-            if decisions is not None and decisions.inplace_fill[i]:
+            if decisions.inplace_fill[i]:
                 lines.append(f"    {out} = _symmetrize({out})")
             else:
                 lines.append(f"    {out} = _fill({out})")
         if step.accumulate is not None:
             acc = f"t{slot_of[step.accumulate]}"
-            if decisions is not None:
-                lines.append(f"    {out} = _add({acc}, {out}, out={out})")
-            else:
-                lines.append(f"    {out} = {acc} + {out}")
+            lines.append(f"    {out} = _add({acc}, {out}, out={out})")
         free.extend(s for s in dying if s in blocked and s != slot)
         free.sort()
     lines.append(f"    return t{slot_of[len(steps) - 1]}")
@@ -418,17 +362,9 @@ class PlanCode:
         self.source = source
 
 
-def compiled_plan(plan, scheduled: Optional[bool] = None) -> PlanCode:
-    """The plan's :class:`PlanCode`, compiling at most once per structure.
-
-    ``scheduled`` selects the executor flavour (the scheduler's
-    buffer-reuse/fusion decisions applied, or the plain unrolling) and
-    defaults to the live ``REPRO_NO_SCHEDULER`` state; the FLOP and
-    call builders are identical in both flavours.
-    """
-    if scheduled is None:
-        scheduled = scheduler_enabled()
-    signature = (plan_signature(plan), scheduled)
+def compiled_plan(plan) -> PlanCode:
+    """The plan's :class:`PlanCode`, compiling at most once per structure."""
+    signature = plan_signature(plan)
     code = _PLAN_CACHE.get(signature)
     if code is not None:
         _STATS["plan_cache_hits"] += 1
@@ -437,8 +373,9 @@ def compiled_plan(plan, scheduled: Optional[bool] = None) -> PlanCode:
     flops_fn, flops_source = _flops_entry(plan)
     calls_source, calls_namespace = _emit_calls_source(plan)
     calls_fn = _compile_function(calls_source, "calls_batch", calls_namespace)
-    decisions = schedule_decisions(plan) if scheduled else None
-    execute_source, execute_namespace = _emit_execute_source(plan, decisions)
+    execute_source, execute_namespace = _emit_execute_source(
+        plan, schedule_decisions(plan)
+    )
     execute_fn = _compile_function(
         execute_source, "execute", execute_namespace
     )
@@ -459,55 +396,33 @@ def compiled_plan(plan, scheduled: Optional[bool] = None) -> PlanCode:
 class PlanCodegen:
     """Lazy per-plan provider wired into :class:`~repro.expressions.base.Algorithm`.
 
-    ``flops_fn``/``calls_fn`` return the compiled evaluator, or None
-    while ``REPRO_NO_CODEGEN`` disables the layer — callers fall back
-    to the interpreted path, and a disabled process never compiles.
-    ``execute`` is installed as the algorithm's executor directly and
-    falls back to ``Plan.execute`` itself.
+    Nothing compiles until a batch path or the executor first asks.
     """
 
-    __slots__ = ("plan", "_codes")
+    __slots__ = ("plan", "_code")
 
     def __init__(self, plan) -> None:
         self.plan = plan
-        # One compiled entry per scheduler mode; flipping
-        # REPRO_NO_SCHEDULER switches executors without recompiling.
-        self._codes: Dict[bool, PlanCode] = {}
+        self._code: Optional[PlanCode] = None
 
-    def _resolve(self) -> Optional[PlanCode]:
-        if not codegen_enabled():
-            return None
-        mode = scheduler_enabled()
-        code = self._codes.get(mode)
+    def _resolve(self) -> PlanCode:
+        code = self._code
         if code is None:
-            code = self._codes[mode] = compiled_plan(self.plan, scheduled=mode)
+            code = self._code = compiled_plan(self.plan)
         return code
 
-    def flops_fn(self) -> Optional[Callable[[np.ndarray], np.ndarray]]:
-        code = self._resolve()
-        if code is None:
-            return None
+    def flops_fn(self) -> Callable[[np.ndarray], np.ndarray]:
         _STATS["flops_batches"] += 1
-        return code.flops
+        return self._resolve().flops
 
-    def calls_fn(
-        self,
-    ) -> Optional[Callable[[np.ndarray], Tuple[KernelCallBatch, ...]]]:
-        code = self._resolve()
-        if code is None:
-            return None
+    def calls_fn(self) -> Callable[[np.ndarray], Tuple[KernelCallBatch, ...]]:
         _STATS["call_batches"] += 1
-        return code.calls
+        return self._resolve().calls
 
     def execute(self, operands) -> np.ndarray:
-        code = self._resolve()
-        if code is not None:
-            return code.execute(operands)
-        if scheduler_enabled():
-            return scheduled_execute(self.plan, operands)
-        return self.plan.execute(operands)
+        return self._resolve().execute(operands)
 
     @property
     def source(self) -> Dict[str, str]:
         """Emitted source of all three functions (docs/debugging)."""
-        return compiled_plan(self.plan).source
+        return self._resolve().source

@@ -1000,17 +1000,12 @@ class CompiledExpression(Expression):
 
     def _algorithm_for(self, algorithm_name: str, plan: Plan) -> Algorithm:
         # Codegen attaches lazily: nothing compiles until a batch path
-        # first asks (and never with REPRO_NO_CODEGEN set).  The
-        # provider's executor falls back to the interpreted
-        # ``Plan.execute`` when disabled, so the real backend follows
-        # the same switch.
-        provider = PlanCodegen(plan)
+        # or the executor first asks.
         return Algorithm(
             name=algorithm_name,
             expression=self.name,
             calls_builder=plan.kernel_calls,
-            executor=provider.execute,
-            codegen=provider,
+            codegen=PlanCodegen(plan),
         )
 
     def with_prune(

@@ -43,25 +43,17 @@ Every transformation is **bit-preserving** for the default schedule:
 produce the same bits as their allocating forms (and fall back to a
 fresh allocation of the same value when a buffer does not qualify), and
 the in-place symmetrize writes exactly the elements the full copy
-would.  The sha256-pinned study payloads therefore hold with the
-scheduler on or off; ``tests/test_scheduler.py`` pins executor, FLOP
-and call-batch equality per family.
-
-``REPRO_NO_SCHEDULER=1`` disables the layer (checked lazily per use,
-like ``REPRO_NO_CODEGEN``): decisions degrade to the unscheduled plan
-and non-default schedules fall back to the original order.
+would.  The generated executor therefore returns exactly the array the
+interpreted ``Plan.execute`` does; ``tests/test_scheduler.py`` pins
+that per family, with ``Plan.execute`` as the oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from repro.envknobs import scheduler_enabled
-from repro.expressions import blas
-from repro.kernels.types import KernelCall, KernelCallBatch, KernelName
+from repro.kernels.types import KernelCallBatch, KernelName
 
 #: Decision cache: plan step tuple → :class:`PlanDecisions`.  Decisions
 #: depend only on the step list (kernels, dim indices, value refs),
@@ -88,7 +80,6 @@ _STATS = {
 def scheduler_stats() -> dict:
     """Decision counters for ``GET /stats`` and tests."""
     return {
-        "enabled": scheduler_enabled(),
         "plans_scheduled": _STATS["plans_scheduled"],
         "fused_adds": _STATS["fused_adds"],
         "inplace_reuses": _STATS["inplace_reuses"],
@@ -236,70 +227,6 @@ def schedule_decisions(plan) -> PlanDecisions:
 
 
 # ----------------------------------------------------------------------
-# Interpreted scheduled executor
-# ----------------------------------------------------------------------
-
-
-def scheduled_execute(plan, operands: Sequence[np.ndarray]) -> np.ndarray:
-    """``Plan.execute`` with the scheduler's buffer decisions applied.
-
-    Issues the same BLAS wrapper calls in the same order with the same
-    mathematical arguments; only where results land differs — and every
-    in-place form is bit-equal to its allocating counterpart, so the
-    returned array matches ``plan.execute(operands)`` exactly.
-    """
-    decisions = schedule_decisions(plan)
-    steps = plan.steps
-    values: List[Optional[np.ndarray]] = [None] * len(steps)
-
-    def resolve(ref) -> np.ndarray:
-        if ref.is_step:
-            return values[ref.index]
-        factor = plan.leaves[ref.index]
-        leaf = factor.leaves[ref.sub] if ref.sub is not None else factor
-        operand = operands[leaf.operand]
-        return operand.T if leaf.transposed else operand
-
-    for i, step in enumerate(steps):
-        out: Optional[np.ndarray] = None
-        fuse = decisions.fuse_into[i]
-        reuse = decisions.reuse_from[i]
-        if fuse is not None:
-            out = values[fuse]
-        elif reuse is not None:
-            out = values[reuse]
-            values[reuse] = None
-        if step.kernel is KernelName.SYRK:
-            if step.left.is_step:
-                value = blas.syrk_lower(values[step.left.index])
-            else:
-                leaf = plan.leaves[step.left.index]
-                value = blas.syrk_lower(
-                    operands[leaf.operand], trans=leaf.transposed
-                )
-        elif step.kernel is KernelName.SYMM:
-            value = blas.symm_lower(resolve(step.left), resolve(step.right))
-        elif step.kernel is KernelName.TRSM:
-            leaf = plan.leaves[step.left.index]
-            value = blas.trsm(operands[leaf.operand], resolve(step.right))
-        elif step.kernel is KernelName.ADD:
-            value = blas.add(resolve(step.left), resolve(step.right), out=out)
-        else:
-            value = blas.gemm(resolve(step.left), resolve(step.right), out=out)
-        if step.copy_to_full:
-            if decisions.inplace_fill[i]:
-                value = blas.symmetrize_lower_inplace(value)
-            else:
-                value = blas.fill_symmetric_from_lower(value)
-        if step.accumulate is not None:
-            value = blas.add(values[step.accumulate], value, out=value)
-        if fuse is not None:
-            values[fuse] = None
-        values[i] = value
-    return values[-1]
-
-
-# ----------------------------------------------------------------------
 # Interference-scored reordering (non-default schedules)
 # ----------------------------------------------------------------------
 
@@ -354,9 +281,9 @@ def schedule_order(plan, machine) -> Tuple[Tuple[int, ...], Tuple[bool, ...]]:
     original index of the step that runs at position ``p`` and
     ``reads_previous[p]`` says whether that step consumes the value of
     the step right before it *in the new order* — the flag the
-    machine's interference term keys on.  The ``default`` schedule (or
-    a disabled scheduler) returns the original order with the plan's
-    own flags; ``min-``/``max-interference`` return the permutation the
+    machine's interference term keys on.  The ``default`` schedule
+    returns the original order with the plan's own flags;
+    ``min-``/``max-interference`` return the permutation the
     analytic model scores fastest/slowest at the staggered probe
     instance, with strict comparisons so ties keep the original order.
     """
@@ -364,11 +291,7 @@ def schedule_order(plan, machine) -> Tuple[Tuple[int, ...], Tuple[bool, ...]]:
     identity = tuple(range(len(steps)))
     original_flags = tuple(step.reads_previous for step in steps)
     schedule = getattr(machine, "schedule", "default")
-    if (
-        schedule == "default"
-        or len(steps) < 2
-        or not scheduler_enabled()
-    ):
+    if schedule == "default" or len(steps) < 2:
         return identity, original_flags
 
     cache = machine.schedule_cache
@@ -415,24 +338,15 @@ def schedule_order(plan, machine) -> Tuple[Tuple[int, ...], Tuple[bool, ...]]:
     return best_order, flags
 
 
-def _plan_of(algorithm):
-    provider = getattr(algorithm, "codegen", None)
-    return getattr(provider, "plan", None)
-
-
 def scheduled_call_batches(
     algorithm, batches: Tuple[KernelCallBatch, ...], machine
 ) -> Tuple[KernelCallBatch, ...]:
     """Apply the machine's schedule to an algorithm's call batches.
 
-    Identity (default schedule, scheduler disabled, or no plan behind
-    the algorithm) returns ``batches`` unchanged — same objects, so the
-    default path stays byte-identical.
+    The identity order returns ``batches`` unchanged — same objects,
+    so the default path stays byte-identical.
     """
-    plan = _plan_of(algorithm)
-    if plan is None or len(plan.steps) != len(batches):
-        return batches
-    order, flags = schedule_order(plan, machine)
+    order, flags = schedule_order(algorithm.codegen.plan, machine)
     if order == tuple(range(len(batches))):
         return batches
     return tuple(
@@ -441,21 +355,5 @@ def scheduled_call_batches(
             batches[index].dims,
             reads_previous=flags[position],
         )
-        for position, index in enumerate(order)
-    )
-
-
-def scheduled_calls(
-    algorithm, calls: Tuple[KernelCall, ...], machine
-) -> Tuple[KernelCall, ...]:
-    """Scalar counterpart of :func:`scheduled_call_batches`."""
-    plan = _plan_of(algorithm)
-    if plan is None or len(plan.steps) != len(calls):
-        return calls
-    order, flags = schedule_order(plan, machine)
-    if order == tuple(range(len(calls))):
-        return calls
-    return tuple(
-        replace(calls[index], reads_previous=flags[position])
         for position, index in enumerate(order)
     )

@@ -8,13 +8,13 @@ any FLOP formula or cost walk yields one canonical object that every
 consumer substitutes its own way:
 
 * :meth:`SizeExpr.size_hint` — exact integer value at a concrete
-  instance (the pruning probe);
-* :meth:`SizeExpr.as_poly` — the :class:`repro.core.symbolic.Poly`
-  form used by the compile-time FLOP analysis;
+  instance (the pruning probe and the compile-time FLOP analysis in
+  :mod:`repro.core.symbolic`);
 * :meth:`SizeExpr.evaluate_columns` — vectorized evaluation over an
   ``(n, n_dims)`` int64 instance matrix;
-* :meth:`SizeExpr.render` — deterministic, factored Python source for
-  the codegen layer (:mod:`repro.expressions.codegen`).
+* :meth:`SizeExpr.source` — deterministic, factored Python source for
+  the codegen layer (:mod:`repro.expressions.codegen`);
+* :meth:`SizeExpr.render` — the expanded, human-readable form.
 
 Monomials are canonical sorted tuples of dim indices *with
 repetition*: ``(0, 1, 1)`` is ``d0·d1²`` and ``()`` is the constant
@@ -128,18 +128,6 @@ class SizeExpr:
             total += term
         return total
 
-    def as_poly(self, n_dims: int):
-        """The equivalent :class:`repro.core.symbolic.Poly`."""
-        from repro.core.symbolic import Poly
-
-        coeffs: Dict[Tuple[int, ...], int] = {}
-        for mono, coeff in self.coeffs.items():
-            exponents = [0] * n_dims
-            for dim in mono:
-                exponents[dim] += 1
-            coeffs[tuple(exponents)] = coeff
-        return Poly(n_dims, coeffs)
-
     def evaluate_columns(self, instances_matrix: np.ndarray) -> np.ndarray:
         """Vectorized value over an ``(n, n_dims)`` int64 matrix.
 
@@ -158,7 +146,7 @@ class SizeExpr:
 
     # -- source rendering ------------------------------------------------
 
-    def render(self, var: Callable[[int], str]) -> str:
+    def source(self, var: Callable[[int], str]) -> str:
         """Deterministic factored Python/NumPy source for this value.
 
         Greedy common-factor extraction: the coefficient gcd comes out
@@ -173,8 +161,37 @@ class SizeExpr:
             return "0"
         return _render_sum(self.coeffs, var)
 
+    def render(self, names: Sequence[str]) -> str:
+        """Human-readable expanded form, highest-degree terms first.
+
+        ``names[i]`` names dim ``i``; ``2*d0^2*d1 + 3*d1 + 1`` is the
+        shape of the output.
+        """
+        if any(dim >= len(names) for dim in self.used_dims()):
+            raise ValueError("need one name per dim")
+        if not self.coeffs:
+            return "0"
+        exponents = {
+            mono: tuple(mono.count(dim) for dim in range(len(names)))
+            for mono in self.coeffs
+        }
+        parts = []
+        for mono in sorted(
+            self.coeffs,
+            key=lambda m: (-len(m), tuple(-e for e in exponents[m])),
+        ):
+            coeff = self.coeffs[mono]
+            factors = [] if coeff == 1 and mono else [str(coeff)]
+            for name, exponent in zip(names, exponents[mono]):
+                if exponent == 1:
+                    factors.append(name)
+                elif exponent > 1:
+                    factors.append(f"{name}^{exponent}")
+            parts.append("*".join(factors))
+        return " + ".join(parts)
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"SizeExpr({self.render(lambda d: f'd{d}')})"
+        return f"SizeExpr({self.source(lambda d: f'd{d}')})"
 
 
 def dim_symbol(index: int) -> SizeExpr:

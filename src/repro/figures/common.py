@@ -63,8 +63,8 @@ class FigureConfig:
     schedule: str = "default"
     #: Named ablation variant of the pipeline (see
     #: :data:`repro.ablation.components.STUDY_VARIANTS`): a different
-    #: machine construction, env knobs applied around the pipeline, or
-    #: recompilation under a tighter pruning budget.  Non-default
+    #: machine construction or recompilation under a tighter pruning
+    #: budget.  Non-default
     #: variants are separate study scenarios with their own cache
     #: entries; the default is byte-identical to the pre-ablation
     #: pipeline.
@@ -165,39 +165,38 @@ def compute_study_results(
     the Study for the trace figures) passes its own, so the pipeline's
     measurement memo stays warm.
 
-    A non-default ``config.variant`` swaps the machine construction,
-    recompiles the expression under a pruning budget, and/or applies
-    env knobs around the pipeline — all three through the variant
-    registry, so the result is still a pure function of the study key.
+    A non-default ``config.variant`` swaps the machine construction
+    and/or recompiles the expression under a pruning budget — both
+    through the variant registry, so the result is still a pure
+    function of the study key.
     """
     variant = get_variant(config.variant)
     expression = variant.expression_for(expression_name)
     if backend is None:
         backend = config.build_backend()
     box = named_box(config.box, expression.n_dims)
-    with variant.applied_env():
-        search = random_search(
-            backend,
-            expression,
-            box,
-            threshold=SEARCH_THRESHOLD,
-            seed=config.seed,
-            **config.search_params(expression_name),
-        )
-        region_params = config.region_params(expression_name)
-        origins = [
-            anomaly.instance
-            for anomaly in search.anomalies[: region_params["max_origins"]]
-        ]
-        regions = explore_regions(
-            backend,
-            expression,
-            origins,
-            box,
-            threshold=REGION_THRESHOLD,
-            step=region_params["step"],
-        )
-        prediction = predict_from_benchmarks(backend, expression, regions)
+    search = random_search(
+        backend,
+        expression,
+        box,
+        threshold=SEARCH_THRESHOLD,
+        seed=config.seed,
+        **config.search_params(expression_name),
+    )
+    region_params = config.region_params(expression_name)
+    origins = [
+        anomaly.instance
+        for anomaly in search.anomalies[: region_params["max_origins"]]
+    ]
+    regions = explore_regions(
+        backend,
+        expression,
+        origins,
+        box,
+        threshold=REGION_THRESHOLD,
+        step=region_params["step"],
+    )
+    prediction = predict_from_benchmarks(backend, expression, regions)
     confusion = confusion_from_prediction(prediction)
     return search, regions, prediction, confusion
 

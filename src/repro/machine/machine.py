@@ -50,7 +50,6 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.envknobs import scheduler_enabled
 from repro.kernels.flops import kernel_flops_batch
 from repro.kernels.types import (
     KERNEL_ARITY,
@@ -380,10 +379,6 @@ class MachineModel:
         if not calls:
             raise ValueError("algorithm batch needs at least one call")
         context_base = self._stream_base(context)
-        if not scheduler_enabled():
-            return self._algorithm_batch_per_call(
-                calls, context_base, measured, predicted
-            )
         n = calls[0].n
         isolated: list = []
         interfered: list = []
@@ -418,46 +413,6 @@ class MachineModel:
         return (
             total(interfered) if measured else None,
             total(isolated) if predicted else None,
-        )
-
-    def _algorithm_batch_per_call(
-        self,
-        calls: Sequence[KernelCallBatch],
-        context_base: int,
-        measured: bool,
-        predicted: bool,
-    ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
-        """The unscheduled path: one noise and median pass per call.
-
-        ``REPRO_NO_SCHEDULER=1`` selects it.  Each call draws its noise
-        factors once and takes ``np.median`` of the scaled factors for
-        each requested column.
-        """
-        measured_total = np.zeros(calls[0].n)
-        predicted_total = np.zeros(calls[0].n)
-        previous: Optional[KernelCallBatch] = None
-        for index, call in enumerate(calls):
-            base = self._base_seconds_memo(call.kernel, call.dims)
-            ids = self._measurement_ids(
-                context_base, index, call.kernel, call.dims
-            )
-            factors = self.noise.factors_from_ids(ids, self.reps)
-            if predicted:
-                predicted_total = predicted_total + np.median(
-                    base[:, None] * factors, axis=1
-                )
-            if measured:
-                if previous is not None and call.reads_previous:
-                    base = base * (
-                        1.0 + self.interference_penalty_batch(previous, call)
-                    )
-                measured_total = measured_total + np.median(
-                    base[:, None] * factors, axis=1
-                )
-            previous = call
-        return (
-            measured_total if measured else None,
-            predicted_total if predicted else None,
         )
 
     def measure_algorithm_batch(

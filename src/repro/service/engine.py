@@ -20,6 +20,7 @@ back to local computation with a log line, never a failed request.
 from __future__ import annotations
 
 import logging
+import operator
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -317,9 +318,14 @@ class SelectionEngine:
                 f"{expression.name} takes {expression.n_dims} dims, "
                 f"got {len(dims)}"
             )
+        # operator.index refuses floats (integral or not, inf and nan
+        # included) and strings; bools are ints to it, so refuse them
+        # first.  NumPy integers pass.
         try:
-            values = tuple(int(v) for v in dims)
-        except (TypeError, ValueError):
+            if any(isinstance(v, bool) for v in dims):
+                raise TypeError
+            values = tuple(operator.index(v) for v in dims)
+        except TypeError:
             raise SelectionError(
                 f"dims must be integers, got {dims!r}"
             ) from None

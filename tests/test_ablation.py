@@ -26,7 +26,6 @@ from repro.ablation.harness import (
     AblationConfig,
     ScienceMetrics,
     compute_deltas,
-    find_inert_violations,
     importance_of,
     metric_deltas,
     run_ablation,
@@ -42,18 +41,13 @@ from repro.runner.__main__ import main as runner_main
 
 def test_registry_covers_every_load_bearing_axis():
     kinds = {c.kind for c in COMPONENTS.values()}
-    assert kinds == {"machine", "env", "pruning", "schedule", "detector"}
+    assert kinds == {"machine", "pruning", "schedule", "detector"}
     assert len(COMPONENTS) >= 8
     # Every referenced variant/detector exists.
     for component in COMPONENTS.values():
         assert component.variant in STUDY_VARIANTS
         if component.dropped_detector is not None:
             assert component.dropped_detector in DETECTORS
-
-
-def test_inert_components_are_the_bit_preserving_layers():
-    inert = {name for name, c in COMPONENTS.items() if c.inert}
-    assert inert == {"no-scheduler", "no-codegen"}
 
 
 def test_get_component_lists_names_on_unknown():
@@ -68,16 +62,6 @@ def test_unknown_variant_lists_names():
     with pytest.raises(ValueError) as excinfo:
         get_variant("bogus")
     assert "no-noise" in str(excinfo.value)
-
-
-def test_variant_env_is_applied_and_restored(monkeypatch):
-    monkeypatch.delenv("REPRO_NO_SCHEDULER", raising=False)
-    import os
-
-    variant = get_variant("no-scheduler")
-    with variant.applied_env():
-        assert os.environ["REPRO_NO_SCHEDULER"] == "1"
-    assert "REPRO_NO_SCHEDULER" not in os.environ
 
 
 def test_prune_variant_recompiles_with_fewer_algorithms():
@@ -202,40 +186,25 @@ def test_compute_deltas_ranks_by_importance_then_name():
     same = _metrics(100, 10, tp=8, fp=1, fn=2, tn=5)  # all-zero deltas
     results = compute_deltas(
         baseline,
-        [get_component("no-noise"), get_component("no-scheduler")],
-        {"no-noise": {"aatb": big}, "no-scheduler": {"aatb": same}},
+        [get_component("prune-budget-1"), get_component("no-noise")],
+        {"prune-budget-1": {"aatb": same}, "no-noise": {"aatb": big}},
     )
     assert [r.component.name for r in results] == [
         "no-noise",
-        "no-scheduler",
+        "prune-budget-1",
     ]
     assert results[0].importance == pytest.approx(0.30)
     assert results[1].importance == 0.0
     # Tied importances fall back to name order.
     tied = compute_deltas(
         baseline,
-        [get_component("no-scheduler"), get_component("no-codegen")],
-        {"no-scheduler": {"aatb": same}, "no-codegen": {"aatb": same}},
+        [get_component("prune-budget-2"), get_component("no-interference")],
+        {"prune-budget-2": {"aatb": same}, "no-interference": {"aatb": same}},
     )
     assert [r.component.name for r in tied] == [
-        "no-codegen",
-        "no-scheduler",
+        "no-interference",
+        "prune-budget-2",
     ]
-
-
-def test_inert_gate_flags_nonzero_inert_deltas():
-    baseline = {"aatb": _metrics(100, 10, tp=8, fp=1, fn=2, tn=5)}
-    moved = _metrics(100, 12, tp=8, fp=1, fn=2, tn=5)
-    results = compute_deltas(
-        baseline,
-        [get_component("no-codegen"), get_component("no-noise")],
-        {"no-codegen": {"aatb": moved}, "no-noise": {"aatb": moved}},
-    )
-    violations = find_inert_violations(results)
-    # Only the inert component's movement is a violation.
-    assert [v.component for v in violations] == ["no-codegen"]
-    assert violations[0].metric == "abundance"
-    assert violations[0].delta == pytest.approx(0.02)
 
 
 # ----------------------------------------------------------------------
@@ -244,8 +213,7 @@ def test_inert_gate_flags_nonzero_inert_deltas():
 
 E2E_COMPONENTS = (
     "no-noise",
-    "no-scheduler",
-    "no-codegen",
+    "prune-budget-1",
     "drop-detector-benchmark-sum",
 )
 
@@ -259,17 +227,16 @@ def small_report(tmp_path_factory):
     return config, cache_dir, run_ablation(config, cache_dir)
 
 
-def test_e2e_report_shape_and_inert_zero(small_report):
+def test_e2e_report_shape_and_detector_drop(small_report):
     _config, _cache_dir, report = small_report
-    assert report.ok
     assert set(report.baseline) == {"aatb"}
-    assert [r.component.name for r in report.results] != []
     by_name = {r.component.name: r for r in report.results}
-    for inert_name in ("no-scheduler", "no-codegen"):
-        for per_metric in by_name[inert_name].deltas.values():
-            assert all(v == 0.0 for v in per_metric.values())
-    # Dropping the strongest detector must not *improve* recall.
+    assert set(by_name) == set(E2E_COMPONENTS)
+    # A detector drop studies the baseline key: the search, hence
+    # abundance, is exactly the baseline's.
     drop = by_name["drop-detector-benchmark-sum"]
+    assert drop.deltas["aatb"]["abundance"] == 0.0
+    # Dropping the strongest detector must not *improve* recall.
     assert drop.deltas["aatb"]["recall"] <= 0.0
 
 
@@ -290,7 +257,6 @@ def test_e2e_written_report_parses_and_matches(small_report, tmp_path):
     payload = json.loads(json_path.read_text())
     assert payload["kind"] == "ablation-report"
     assert payload["scale"] == "quick"
-    assert payload["inert_violations"] == []
     assert len(payload["components"]) == len(E2E_COMPONENTS)
     ranks = [c["rank"] for c in payload["components"]]
     assert ranks == sorted(ranks)
@@ -343,7 +309,6 @@ def test_cli_list_components(capsys):
     out = capsys.readouterr().out
     for name in component_names():
         assert name in out
-    assert "[inert]" in out
 
 
 def test_cli_runs_and_writes_reports(tmp_path, capsys):
@@ -353,7 +318,7 @@ def test_cli_runs_and_writes_reports(tmp_path, capsys):
             "--expressions",
             "aatb",
             "--components",
-            "no-scheduler",
+            "no-interference",
             "--cache-dir",
             str(tmp_path / "store"),
             "--report-dir",
@@ -374,7 +339,7 @@ def test_runner_cli_ablation_delegates(tmp_path, capsys):
             "--expressions",
             "aatb",
             "--ablation-components",
-            "no-codegen",
+            "no-variant-dispatch",
             "--cache-dir",
             str(tmp_path),
         ]

@@ -41,20 +41,3 @@ def test_cache_store_accepts_valid_and_rejects_junk(monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_STORE", "redis")
     with pytest.raises(pytest.UsageError, match="REPRO_CACHE_STORE"):
         bench_conftest.parse_cache_store()
-
-
-def test_no_scheduler_accepts_the_tri_state_knob(monkeypatch):
-    monkeypatch.delenv("REPRO_NO_SCHEDULER", raising=False)
-    assert bench_conftest.parse_no_scheduler() == ""
-    for value in ("", "0", "1"):
-        monkeypatch.setenv("REPRO_NO_SCHEDULER", value)
-        assert bench_conftest.parse_no_scheduler() == value
-
-
-@pytest.mark.parametrize("raw", ["true", "yes", "on", "2", " 1"])
-def test_no_scheduler_rejects_junk_with_clear_error(monkeypatch, raw):
-    # "true" would silently mean "scheduler ON" to the lazy probe —
-    # the exact inversion an ablation run must not hit quietly.
-    monkeypatch.setenv("REPRO_NO_SCHEDULER", raw)
-    with pytest.raises(pytest.UsageError, match="REPRO_NO_SCHEDULER"):
-        bench_conftest.parse_no_scheduler()

@@ -1,29 +1,30 @@
 """Plan codegen equivalence: generated evaluators ≡ the interpreter.
 
-For every registered family (plus ``sum6``, which compiles under the
-cost-guided pruning pass), the per-plan generated functions must match
-the interpreted paths **bit for bit** on randomized instance batches:
+The generated functions are the only runtime path; the interpreter is
+the oracle.  For every registered family (plus ``sum6``, which
+compiles under the cost-guided pruning pass), the per-plan generated
+functions must match it **bit for bit** on seeded instance batches,
+up to the exact-arithmetic bound (:func:`max_exact_dim`):
 
-* the batch FLOP evaluator equals both the interpreted whole-column
-  polynomial evaluation and the :func:`flop_polynomial` oracle;
+* the batch FLOP evaluator equals the interpreted whole-column
+  polynomial evaluation, the :func:`flop_polynomial` oracle and the
+  exact Python-int ``algorithm.flops`` of every row;
 * the generated :class:`KernelCallBatch` builder equals
   ``batch_kernel_calls`` over the interpreted call sequence;
 * the generated NumPy executor equals ``Plan.execute`` on real
   operands (same BLAS wrappers replayed in the same order).
-
-``REPRO_NO_CODEGEN=1`` must disable every generated path, falling back
-to the interpreter with identical results.
 """
 
 import random
+import zlib
 
 import numpy as np
 import pytest
 
+from repro.core.classify import max_exact_dim
 from repro.core.symbolic import flop_polynomial
 from repro.expressions.codegen import (
     clear_codegen_caches,
-    codegen_enabled,
     codegen_stats,
     compiled_plan,
     plan_signature,
@@ -41,21 +42,33 @@ FAMILIES = (
 )
 
 
-def _instance_batches(n_dims, seed=0):
-    """Randomized batches including degenerate (all-1) and large dims."""
+def _instance_batches(expression, seed=0):
+    """Seeded batches: degenerate (all-1), box-sized and up to the bound.
+
+    The last two batches reach :func:`max_exact_dim`, the largest dim
+    at which every plan's FLOP count stays below 2**53: seeded rows in
+    ``[1, bound]`` and the all-bound row.
+    """
+    n_dims = expression.n_dims
+    bound = max_exact_dim(expression.algorithms(), n_dims)
     rng = random.Random(seed)
-    batches = [
-        np.asarray(
+
+    def rows(high, count):
+        return np.asarray(
             [
-                tuple(rng.randint(1, 400) for _ in range(n_dims))
-                for _ in range(17)
+                tuple(rng.randint(1, high) for _ in range(n_dims))
+                for _ in range(count)
             ],
             dtype=np.int64,
-        ),
+        )
+
+    return [
+        rows(400, 17),
         np.ones((3, n_dims), dtype=np.int64),
         np.full((2, n_dims), 1400, dtype=np.int64),
+        rows(bound, 17),
+        np.full((1, n_dims), bound, dtype=np.int64),
     ]
-    return batches
 
 
 def _interpreted_flops(algorithm, arr):
@@ -75,15 +88,17 @@ def test_codegen_flops_match_interpreter_and_polynomial(family):
         flop_polynomial(a, expression.n_dims)
         for a in expression.algorithms()
     ]
-    for arr in _instance_batches(expression.n_dims, seed=hash(family) % 997):
-        columns = tuple(arr[:, i] for i in range(arr.shape[1]))
+    seed = zlib.crc32(family.encode()) % 997
+    for arr in _instance_batches(expression, seed=seed):
         for algorithm, poly in zip(expression.algorithms(), polys):
-            fn = algorithm.flops_batch_function()
-            assert fn is not None, algorithm.name
-            got = fn(arr)
+            got = algorithm.flops_batch_function()(arr)
             assert got.dtype == np.int64
             assert got.tolist() == _interpreted_flops(algorithm, arr).tolist()
-            assert got.tolist() == poly.evaluate(columns).tolist()
+            assert got.tolist() == poly.evaluate_columns(arr).tolist()
+            # Exact Python ints, row by row: no int64 wraparound.
+            assert got.tolist() == [
+                algorithm.flops(tuple(row)) for row in arr.tolist()
+            ]
             # The convenience wrapper routes through the same function.
             assert algorithm.flops_batch(arr).tolist() == got.tolist()
 
@@ -91,7 +106,7 @@ def test_codegen_flops_match_interpreter_and_polynomial(family):
 @pytest.mark.parametrize("family", FAMILIES)
 def test_codegen_call_batches_match_interpreter(family):
     expression = get_expression(family)
-    for arr in _instance_batches(expression.n_dims, seed=len(family)):
+    for arr in _instance_batches(expression, seed=len(family)):
         for algorithm in expression.algorithms():
             generated = algorithm.kernel_call_batches(arr)
             interpreted = _interpreted_batches(algorithm, arr)
@@ -124,32 +139,6 @@ def test_codegen_executor_bit_equal_to_plan_execute(family):
             assert np.array_equal(generated, interpreted)
             # The Algorithm's executor routes through the provider.
             assert np.array_equal(algorithm.execute(operands), interpreted)
-
-
-def test_no_codegen_env_falls_back_to_interpreter(monkeypatch):
-    monkeypatch.setenv("REPRO_NO_CODEGEN", "1")
-    assert not codegen_enabled()
-    expression = get_expression("aatb")
-    arr = _instance_batches(expression.n_dims)[0]
-    for algorithm in expression.algorithms():
-        # The provider answers None: batch paths use the interpreter.
-        assert algorithm.flops_batch_function() is None
-        assert (
-            algorithm.flops_batch(arr).tolist()
-            == _interpreted_flops(algorithm, arr).tolist()
-        )
-        generated = algorithm.kernel_call_batches(arr)
-        interpreted = _interpreted_batches(algorithm, arr)
-        for got, want in zip(generated, interpreted):
-            assert got.kernel is want.kernel
-            assert np.array_equal(got.dims, want.dims)
-    # Executors still work (interpreted Plan.execute fallback).
-    operands = expression.make_operands((4, 5, 6), np.random.default_rng(0))
-    reference = expression.reference(operands)
-    for algorithm in expression.algorithms():
-        assert np.allclose(algorithm.execute(operands), reference)
-    monkeypatch.delenv("REPRO_NO_CODEGEN")
-    assert codegen_enabled()
 
 
 def test_plan_cache_and_flops_sharing_stats():
@@ -200,6 +189,6 @@ def test_size_expr_polynomial_identities():
     assert got.dtype == np.int64
     assert got.tolist() == [2 * 2 * 3 + 2 * 3 + 3, 3 * 100 * 200 + 3]
     # Rendered source round-trips through eval over the same columns.
-    source = expr.render(lambda d: f"c{d}")
+    source = expr.source(lambda d: f"c{d}")
     namespace = {f"c{i}": arr[:, i] for i in range(3)}
     assert eval(source, {"__builtins__": {}}, namespace).tolist() == got.tolist()

@@ -3,9 +3,10 @@
 Two properties must hold for *every* registered expression, hand-coded
 or generated:
 
-* the symbolic FLOP count (``flops`` over Poly dims) equals the Poly
-  sum of the individual kernel calls' FLOP formulas — the plan is the
-  single source of truth for analysis and measurement alike;
+* the symbolic FLOP count (``flops`` over dim symbols) equals the
+  polynomial sum of the individual kernel calls' FLOP formulas — the
+  plan is the single source of truth for analysis and measurement
+  alike;
 * every generated executor agrees numerically with the expression's
   NumPy reference across random instances.
 """
@@ -13,7 +14,7 @@ or generated:
 import numpy as np
 import pytest
 
-from repro.core.symbolic import Poly, flop_polynomial
+from repro.core.symbolic import flop_polynomial
 from repro.expressions import blas
 from repro.expressions.compiler import (
     CompiledExpression,
@@ -31,6 +32,7 @@ from repro.expressions.ir import (
     transpose_signature,
 )
 from repro.expressions.registry import get_expression
+from repro.expressions.shapes import SizeExpr, dim_symbols
 from repro.kernels.flops import kernel_flops
 from repro.kernels.types import KernelName
 
@@ -91,10 +93,9 @@ def test_transpose_signature_round_trips():
 @pytest.mark.parametrize("name", REGISTERED)
 def test_symbolic_flops_equal_poly_sum_of_kernel_calls(name):
     expression = get_expression(name)
-    n = expression.n_dims
-    variables = tuple(Poly.variable(i, n) for i in range(n))
+    variables = dim_symbols(expression.n_dims)
     for algorithm in expression.algorithms():
-        total = Poly.constant(0, n)
+        total = SizeExpr.constant(0)
         for call in algorithm.kernel_calls(variables):
             total = total + kernel_flops(call.kernel, call.dims)
         assert flop_polynomial(algorithm) == total, algorithm.name
@@ -108,7 +109,7 @@ def test_symbolic_flops_evaluate_to_concrete_flops(name):
         instance = tuple(int(v) for v in rng.integers(2, 60, expression.n_dims))
         for algorithm in expression.algorithms():
             poly = flop_polynomial(algorithm)
-            assert poly.evaluate(instance) == int(algorithm.flops(instance))
+            assert poly.size_hint(instance) == algorithm.flops(instance)
 
 
 @pytest.mark.parametrize("name", REGISTERED)

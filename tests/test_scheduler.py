@@ -2,16 +2,11 @@
 
 The scheduler (:mod:`repro.expressions.scheduler`) sits between the
 compiler and codegen and must be a pure perf layer under the default
-machine schedule:
-
-* the scheduled executors (interpreted and generated) equal
-  ``Plan.execute`` **bit for bit** on real operands for every family;
-* FLOP evaluation and :class:`KernelCallBatch` construction are
-  untouched by the scheduler state;
-* the machine's fused measurement pass equals the per-call loop
-  bit for bit;
-* ``REPRO_NO_SCHEDULER=1`` disables every scheduled path with
-  identical results.
+machine schedule: the generated executor, which applies its
+decisions, equals the interpreted ``Plan.execute`` (the oracle)
+**bit for bit** on real operands for every family.  The machine's
+fused measurement pass is held to separate per-call ``np.median``
+passes in ``tests/test_shared_noise_pass.py``.
 
 Non-default schedules (``min-``/``max-interference``) are the new
 scenario axis: deterministic, cache-backed, scalar/batch consistent.
@@ -23,7 +18,6 @@ import numpy as np
 import pytest
 
 from repro.backends.simulated import SimulatedBackend
-from repro.envknobs import scheduler_enabled
 from repro.expressions.codegen import compiled_plan
 from repro.expressions.compiler import compile_add_plans
 from repro.expressions.ir import AddExpr, Leaf
@@ -33,9 +27,6 @@ from repro.expressions.scheduler import (
     last_uses,
     schedule_decisions,
     schedule_order,
-    scheduled_call_batches,
-    scheduled_calls,
-    scheduled_execute,
     scheduler_stats,
     step_reads,
 )
@@ -83,83 +74,9 @@ def test_scheduled_executors_bit_equal_to_plan_execute(family):
                 instance, np.random.default_rng(23 + i)
             )
             reference = plan.execute(operands)
-            interpreted = scheduled_execute(plan, operands)
-            generated = compiled_plan(plan, scheduled=True).execute(operands)
-            plain = compiled_plan(plan, scheduled=False).execute(operands)
-            assert interpreted.dtype == reference.dtype
-            assert np.array_equal(interpreted, reference)
+            generated = compiled_plan(plan).execute(operands)
+            assert generated.dtype == reference.dtype
             assert np.array_equal(generated, reference)
-            assert np.array_equal(plain, reference)
-
-
-def test_scheduler_state_leaves_flops_and_batches_untouched(monkeypatch):
-    expression = get_expression("chain4")
-    arr = np.asarray(
-        [
-            [2, 3, 5, 7, 11],
-            [40, 1, 400, 7, 13],
-            [1, 1, 1, 1, 1],
-        ],
-        dtype=np.int64,
-    )
-    with_scheduler = [
-        (a.flops_batch(arr), a.kernel_call_batches(arr))
-        for a in expression.algorithms()
-    ]
-    monkeypatch.setenv("REPRO_NO_SCHEDULER", "1")
-    for algorithm, (flops, batches) in zip(
-        expression.algorithms(), with_scheduler
-    ):
-        assert algorithm.flops_batch(arr).tolist() == flops.tolist()
-        for got, want in zip(algorithm.kernel_call_batches(arr), batches):
-            assert got.kernel is want.kernel
-            assert got.reads_previous == want.reads_previous
-            assert np.array_equal(got.dims, want.dims)
-
-
-@pytest.mark.parametrize("family", ("sum3", "chain4", "aatb"))
-def test_fused_measurement_bit_equal_to_per_call_loop(family, monkeypatch):
-    monkeypatch.delenv("REPRO_NO_SCHEDULER", raising=False)
-    expression = get_expression(family)
-    rng = random.Random(7)
-    box_rows = [
-        tuple(rng.randint(5, 300) for _ in range(expression.n_dims))
-        for _ in range(37)
-    ]
-    arr = np.asarray(box_rows, dtype=np.int64)
-    machine = paper_machine(seed=3)
-    fused = []
-    for algorithm in expression.algorithms():
-        batches = algorithm.kernel_call_batches(arr)
-        fused.append(
-            (
-                machine.measure_algorithm_batch(batches, algorithm.name),
-                machine.predict_algorithm_batch(batches, algorithm.name),
-                machine.measure_algorithm(
-                    algorithm.kernel_calls(box_rows[0]), algorithm.name
-                ),
-            )
-        )
-    monkeypatch.setenv("REPRO_NO_SCHEDULER", "1")
-    assert not scheduler_enabled()
-    for algorithm, (measured, predicted, scalar) in zip(
-        expression.algorithms(), fused
-    ):
-        batches = algorithm.kernel_call_batches(arr)
-        assert np.array_equal(
-            machine.measure_algorithm_batch(batches, algorithm.name),
-            measured,
-        )
-        assert np.array_equal(
-            machine.predict_algorithm_batch(batches, algorithm.name),
-            predicted,
-        )
-        assert (
-            machine.measure_algorithm(
-                algorithm.kernel_calls(box_rows[0]), algorithm.name
-            )
-            == scalar
-        )
 
 
 def test_add_chain_fuses_into_one_accumulator():
@@ -168,13 +85,10 @@ def test_add_chain_fuses_into_one_accumulator():
     # Five ADD steps; every step after the first accumulates in place
     # into its dying step operand's buffer.
     assert decisions.fuse_into == (None, 0, 1, 2, 3)
-    reference = plan.execute(operands)
-    assert np.array_equal(scheduled_execute(plan, operands), reference)
-    code = compiled_plan(plan, scheduled=True)
-    assert np.array_equal(code.execute(operands), reference)
+    code = compiled_plan(plan)
+    assert np.array_equal(code.execute(operands), plan.execute(operands))
     # The emitted executor reuses one buffer through the whole chain.
-    assert "out=t0" in code.source["execute"]
-    assert ", out=" not in compiled_plan(plan, scheduled=False).source["execute"]
+    assert code.source["execute"].count("out=t0") == 4
 
 
 def test_dependency_graph_and_liveness_helpers():
@@ -196,9 +110,9 @@ def test_syrk_copy_materialization_dropped_when_single_consumer():
     assert stats["copies_dropped"] >= 1
     instance = (6, 9, 4)
     operands = expression.make_operands(instance, np.random.default_rng(1))
-    assert np.array_equal(
-        scheduled_execute(plan, operands), plan.execute(operands)
-    )
+    code = compiled_plan(plan)
+    assert "_symmetrize(t0)" in code.source["execute"]
+    assert np.array_equal(code.execute(operands), plan.execute(operands))
 
 
 def test_schedule_order_default_is_identity():
@@ -210,11 +124,7 @@ def test_schedule_order_default_is_identity():
         assert flags == tuple(s.reads_previous for s in plan.steps)
 
 
-def test_schedule_order_reorders_deterministically_with_cache(monkeypatch):
-    # Reordering is the one transform that needs the scheduler live —
-    # neutralize an ambient ablation env so the assertions stay
-    # meaningful under `REPRO_NO_SCHEDULER=1 pytest` runs too.
-    monkeypatch.delenv("REPRO_NO_SCHEDULER", raising=False)
+def test_schedule_order_reorders_deterministically_with_cache():
     clear_scheduler_caches()
     minimize = paper_machine(seed=0, schedule="min-interference")
     maximize = paper_machine(seed=0, schedule="max-interference")
@@ -292,49 +202,6 @@ def test_scalar_and_batch_paths_agree_under_reordering():
         assert backend.predict_time(algorithm, instance) == (
             backend.predict_times(algorithm, [instance])[0]
         )
-
-
-def test_scheduled_calls_and_batches_are_consistent():
-    machine = paper_machine(seed=0, schedule="max-interference")
-    expression = get_expression("sum3")
-    instance = _probe(expression.n_dims, start=25)
-    arr = np.asarray([instance], dtype=np.int64)
-    for algorithm in expression.algorithms():
-        calls = scheduled_calls(
-            algorithm, algorithm.kernel_calls(instance), machine
-        )
-        batches = scheduled_call_batches(
-            algorithm, algorithm.kernel_call_batches(arr), machine
-        )
-        assert len(calls) == len(batches)
-        for call, batch in zip(calls, batches):
-            assert call.kernel is batch.kernel
-            assert call.reads_previous == batch.reads_previous
-            assert tuple(batch.dims[0]) == call.dims
-
-
-def test_no_scheduler_env_disables_every_scheduled_path(monkeypatch):
-    monkeypatch.setenv("REPRO_NO_SCHEDULER", "1")
-    assert not scheduler_enabled()
-    assert not scheduler_stats()["enabled"]
-    # Non-default schedules degrade to the original order.
-    machine = paper_machine(seed=0, schedule="min-interference")
-    expression = get_expression("sum3")
-    for plan in expression.plans():
-        order, flags = schedule_order(plan, machine)
-        assert order == tuple(range(len(plan.steps)))
-        assert flags == tuple(s.reads_previous for s in plan.steps)
-    # Executors fall back with identical results.
-    operands = expression.make_operands(
-        _probe(expression.n_dims, start=5, stride=2), np.random.default_rng(2)
-    )
-    for plan, algorithm in zip(expression.plans(), expression.algorithms()):
-        assert np.array_equal(
-            algorithm.execute(operands), plan.execute(operands)
-        )
-    for value in ("", "0"):
-        monkeypatch.setenv("REPRO_NO_SCHEDULER", value)
-        assert scheduler_enabled()
 
 
 def test_machine_rejects_unknown_schedule():

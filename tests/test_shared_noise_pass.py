@@ -158,9 +158,7 @@ def test_factors_match_the_out_of_place_formula(kind):
 
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("kind", NOISE_KINDS)
-def test_shared_pass_matches_separate_median_passes(
-    family, kind, monkeypatch
-):
+def test_shared_pass_matches_separate_median_passes(family, kind):
     expression = get_expression(family)
     arr = _instances(expression.n_dims, 6, seed=len(family))
     plans = [
@@ -172,24 +170,20 @@ def test_shared_pass_matches_separate_median_passes(
             want_measured, want_predicted = reference_totals(
                 machine, calls, name
             )
-            # The unscheduled per-call loop fills both columns too;
-            # checked at one odd and one even rep count.
-            for no_scheduler in ("", "1") if machine.reps in (2, 5) else ("",):
-                monkeypatch.setenv("REPRO_NO_SCHEDULER", no_scheduler)
-                predicted = np.empty(arr.shape[0])
-                measured = machine.measure_algorithm_batch(
-                    calls, context=name, predicted=predicted
-                )
-                assert np.array_equal(measured, want_measured)
-                assert np.array_equal(predicted, want_predicted)
-                assert np.array_equal(
-                    machine.measure_algorithm_batch(calls, context=name),
-                    want_measured,
-                )
-                assert np.array_equal(
-                    machine.predict_algorithm_batch(calls, context=name),
-                    want_predicted,
-                )
+            predicted = np.empty(arr.shape[0])
+            measured = machine.measure_algorithm_batch(
+                calls, context=name, predicted=predicted
+            )
+            assert np.array_equal(measured, want_measured)
+            assert np.array_equal(predicted, want_predicted)
+            assert np.array_equal(
+                machine.measure_algorithm_batch(calls, context=name),
+                want_measured,
+            )
+            assert np.array_equal(
+                machine.predict_algorithm_batch(calls, context=name),
+                want_predicted,
+            )
 
 
 @pytest.mark.parametrize("kind", NOISE_KINDS)

@@ -2,23 +2,27 @@
 
 import pytest
 
-from repro.core.symbolic import Poly, flop_polynomial, possibly_cheapest
+from repro.core.symbolic import flop_polynomial, possibly_cheapest
 from repro.expressions.registry import get_expression
+from repro.expressions.shapes import SizeExpr, dim_symbols
 
 
 def test_poly_arithmetic_and_evaluate():
-    n = Poly.variable(0, 2)
-    k = Poly.variable(1, 2)
+    n, k = dim_symbols(2)
     p = n * (n + 1) * k  # the SYRK FLOP formula
-    assert p.evaluate((3, 5)) == 60
-    assert p.degree == 3
+    assert p.size_hint((3, 5)) == 60
+    # Exact at any size: no float rounding past 2**53.
+    big = 10**9 + 7
+    assert p.size_hint((big, 3)) == big * (big + 1) * 3
 
 
 def test_poly_render_orders_terms_by_degree():
-    d0 = Poly.variable(0, 3)
-    d1 = Poly.variable(1, 3)
+    d0, d1, _d2 = dim_symbols(3)
     p = 2 * d0 * d0 * d1 + 3 * d1 + 1
     assert p.render(("d0", "d1", "d2")) == "2*d0^2*d1 + 3*d1 + 1"
+    assert SizeExpr.constant(0).render(("d0",)) == "0"
+    with pytest.raises(ValueError, match="one name per dim"):
+        p.render(("d0",))
 
 
 def test_flop_polynomial_matches_concrete_flops():
@@ -26,7 +30,7 @@ def test_flop_polynomial_matches_concrete_flops():
     instance = (31, 57, 83)
     for algorithm in algorithms:
         poly = flop_polynomial(algorithm)
-        assert poly.evaluate(instance) == int(algorithm.flops(instance))
+        assert poly.size_hint(instance) == algorithm.flops(instance)
 
 
 def test_possibly_cheapest_finds_known_crossover():
@@ -72,6 +76,24 @@ def test_possibly_cheapest_tie_at_exact_crossover():
         "aatb-2:syrk+copy+gemm",
         "aatb-5:gemm+gemm-right",
     ]
+
+
+@pytest.mark.parametrize(
+    "d0,d12", [(40_000_001, 30_000_001), (400_000_001, 300_000_001)]
+)
+def test_possibly_cheapest_tie_is_exact_past_2_53(d0, d12):
+    # With d1 = d2 = m and d0 = (4m - 1) / 3, the SYRK pair and the
+    # right-associated GEMMs tie exactly: 3m·d0² + m·d0 = 4m²·d0.
+    # The counts are far past 2**53, where float evaluation used to
+    # drop one side of the tie.
+    algorithms = get_expression("aatb").algorithms()
+    assert 3 * d0 == 4 * d12 - 1
+    assert algorithms[0].flops((d0, d12, d12)) > 2**53
+    result = possibly_cheapest(
+        algorithms, {1: d12, 2: d12}, (d0, 1, 1), (d0, 1, 1)
+    )
+    assert result.exact
+    assert result.certain == (0, 1, 4)
 
 
 def test_possibly_cheapest_handles_degenerate_axis_in_sampled_mode():
