@@ -2,16 +2,15 @@
 
 Two workloads, one aggregate gate:
 
-* **Measurement fusion** — ``MachineModel.measure_algorithm_batch``
+* **Measurement fusion** — ``MachineModel.measure_algorithms_batch``
   over every algorithm of five registered families at small
-  (25-instance) batches.  The machine
-  (:meth:`repro.machine.machine.MachineModel._algorithm_batch`) draws
-  the noise factors of all of an algorithm's calls in one stacked
-  pass and takes their median order statistics once; the baseline
-  below, :func:`_per_call_loop`, draws the noise and takes one
-  ``np.median`` per call.  Results are bit-equal, because the median
-  of positively scaled factors is the scaled median factor, and
-  asserted so below.
+  (25-instance) batches, one call per family as the simulated backend
+  makes it.  The machine (:meth:`repro.machine.machine.MachineModel._pass`)
+  draws the noise factors of all the family's call slots in one pass
+  and takes their median order statistics once; the baseline below,
+  :func:`_per_call_loop`, draws the noise and takes one ``np.median``
+  per call.  Results are bit-equal, because the median of positively
+  scaled factors is the scaled median factor, and asserted so below.
 
 * **Fused ADD execution** — an 8-leaf elementwise sum lowered by
   :func:`repro.expressions.compiler.compile_add_plans` and executed on
@@ -21,8 +20,8 @@ Two workloads, one aggregate gate:
   ADD.  Results are bit-equal.
 
 The gate is the *aggregate* speedup (summed baseline time over summed
-fused time) at >= 1.3x; measured headroom is ~1.6x for the
-measurement workload and ~1.8x for the ADD chain.
+fused time) at >= 1.3x; measured headroom is ~2.7x for the
+measurement workload and ~1.6x for the ADD chain.
 """
 
 import random
@@ -59,23 +58,29 @@ def _instances_matrix(expression, seed):
 
 
 def _measure_all(machine, cases):
-    return [
-        machine.measure_algorithm_batch(batches, context=name)
-        for name, batches in cases
-    ]
+    return machine.measure_algorithms_batch(
+        [batches for _, batches in cases], [name for name, _ in cases]
+    )
 
 
-def _per_call_loop(machine, calls, context_base, measured, predicted):
+def _per_call_loop(machine, calls, context_base, measured, predicted, bases):
     """The per-call loop: one noise and median pass per call.
 
     Each call draws its noise factors once and takes ``np.median`` of
-    the scaled factors for each requested column.
+    the scaled factors for each requested column.  ``bases`` memoises
+    the noise-free base seconds by ``(kernel, dims bytes)`` across
+    calls, plans and repetitions, so the baseline never recomputes one.
     """
     measured_total = np.zeros(calls[0].n)
     predicted_total = np.zeros(calls[0].n)
     previous = None
     for index, call in enumerate(calls):
-        base = machine._base_seconds_memo(call.kernel, call.dims)
+        key = (call.kernel, np.ascontiguousarray(call.dims).tobytes())
+        base = bases.get(key)
+        if base is None:
+            base = bases[key] = machine.kernel_seconds_batch(
+                call.kernel, call.dims
+            )
         ids = machine._measurement_ids(
             context_base, index, call.kernel, call.dims
         )
@@ -99,10 +104,10 @@ def _per_call_loop(machine, calls, context_base, measured, predicted):
     )
 
 
-def _measure_all_per_call(machine, cases):
+def _measure_all_per_call(machine, cases, bases):
     return [
         _per_call_loop(
-            machine, batches, machine._stream_base(name), True, False
+            machine, batches, machine._stream_base(name), True, False, bases
         )[0]
         for name, batches in cases
     ]
@@ -142,31 +147,35 @@ def test_scheduler_measurement_and_fusion_speedup(run_once, fig_config):
             (a.name, a.kernel_call_batches(arr))
             for a in expression.algorithms()
         ]
-        family_cases.append((family, paper_machine(seed=fig_config.seed), cases))
+        family_cases.append(
+            (family, paper_machine(seed=fig_config.seed), cases, {})
+        )
 
     plan, operands = _add_chain_case(fig_config.seed + 48)
     fused_exec = compiled_plan(plan).execute
 
     # Warm both paths (codegen compiles lazily; noise tables fill on
     # first use) before any timing.
-    for _, machine, cases in family_cases:
+    for _, machine, cases, bases in family_cases:
         _measure_all(machine, cases)
-        _measure_all_per_call(machine, cases)
+        _measure_all_per_call(machine, cases, bases)
     fused_exec(operands)
     plan.execute(operands)
 
     def run_all_fused():
         return [
             _measure_all(machine, cases)
-            for _, machine, cases in family_cases
+            for _, machine, cases, _ in family_cases
         ] + [fused_exec(operands)]
 
     run_once(run_all_fused)
 
     print()
     total_legacy = total_fused = 0.0
-    for family, machine, cases in family_cases:
-        legacy_s, times_l = _best_of(_measure_all_per_call, machine, cases)
+    for family, machine, cases, bases in family_cases:
+        legacy_s, times_l = _best_of(
+            _measure_all_per_call, machine, cases, bases
+        )
         fused_s, times_f = _best_of(_measure_all, machine, cases)
         total_legacy += legacy_s
         total_fused += fused_s

@@ -11,12 +11,16 @@ A backend answers three timing questions:
 
 Each question also has a batch form (``time_algorithms``,
 ``time_kernels``, ``predict_times``) taking many instances at once and
-returning a float64 array.  The defaults below answer a batch with a
-scalar loop, so a backend only has to implement the per-instance
-protocol — :class:`repro.backends.real.RealBlasBackend` times real
-BLAS calls one at a time, unchanged — while
+returning a float64 array, and the two algorithm questions have an
+evaluation-batch form (``time_algorithms_matrix``,
+``predict_times_matrix``) taking every algorithm of an expression at
+once and returning an ``(n, A)`` matrix.  The defaults below answer a
+batch with a scalar loop, so a backend only has to implement the
+per-instance protocol — :class:`repro.backends.real.RealBlasBackend`
+times real BLAS calls one at a time, unchanged — while
 :class:`repro.backends.simulated.SimulatedBackend` overrides the batch
-methods with fully vectorized evaluation.
+methods with fully vectorized evaluation, one machine call per
+evaluation batch.
 
 Experiment code is backend-agnostic: everything under
 :mod:`repro.core`, :mod:`repro.experiments` and :mod:`repro.analysis`
@@ -76,6 +80,22 @@ class Backend(abc.ABC):
             dtype=np.float64,
         )
 
+    def time_algorithms_matrix(
+        self,
+        algorithms: Sequence[Algorithm],
+        instances: Sequence[Sequence[int]],
+    ) -> np.ndarray:
+        """``(n, A)`` measured times, one column per algorithm.
+
+        The measured twin of :meth:`predict_times_matrix`: one call
+        per evaluation batch, so a backend can measure all the
+        algorithms together.  This default stacks
+        :meth:`time_algorithms` column by column.
+        """
+        return np.stack(
+            [self.time_algorithms(a, instances) for a in algorithms], axis=1
+        )
+
     def time_kernels(
         self, kernel: KernelName, dims: Sequence[Sequence[int]]
     ) -> np.ndarray:
@@ -131,8 +151,8 @@ class Backend(abc.ABC):
         benchmarked once per evaluation batch rather than once per
         plan.  The simulated backend's predictions are
         context-dependent (its machine folds the algorithm name into
-        the noise stream), so it overrides this method with a
-        per-algorithm read of its memo rows.
+        the noise stream), so it overrides this method with a read of
+        its memo rows and one machine call for the misses.
         """
         timed: Dict[_CallKey, float] = {}
         return np.stack(

@@ -20,13 +20,16 @@ The algorithms of one expression share one instance index (instance
 bytes to row id), so an instance's key is stored once, not once per
 algorithm, and each algorithm's column is a vectorized gather by id.
 
-The batch methods are the fast path: a whole batch of instances flows
-through the vectorized machine in one call.  An algorithm's kernel
-structure is instance-independent (only the dims vary), so the call
-sequence is built *once* per batch by the plan's generated builder,
-one gather of the instance columns into per-call ``(n, arity)`` dims
-matrices.  The scalar methods are the batch methods on one-row
-batches, so they share the same memo rows.
+The evaluation-batch methods (``time_algorithms_matrix``,
+``predict_times_matrix``) are the fast path: every algorithm of an
+expression at a whole batch of instances flows through the vectorized
+machine in one call, which measures the plans together.  An
+algorithm's kernel structure is instance-independent (only the dims
+vary), so its call sequence is built *once* per batch by the plan's
+generated builder, one gather of the instance columns into per-call
+``(n, arity)`` dims matrices.  The per-algorithm batch methods are
+one-column selections of the same path, and the scalar methods are
+those on one-row batches, so all of them share the same memo rows.
 """
 
 from __future__ import annotations
@@ -161,69 +164,80 @@ class SimulatedBackend(Backend):
             return batches
         return scheduled_call_batches(algorithm, batches, self.machine)
 
-    @staticmethod
-    def _memoised(
-        table: np.ndarray,
-        arr: np.ndarray,
-        ids: np.ndarray,
-        column: int,
-        compute,
-    ) -> np.ndarray:
-        """``column`` of ``arr``'s rows in ``table``, computing the misses.
-
-        ``ids`` are the rows' memo ids; ``compute`` maps a sub-matrix
-        of ``arr`` rows to whole memo rows ``(m, width)``.  Each
-        distinct missing row is computed exactly once.
-        """
-        values = table[ids, column]
-        missing = np.flatnonzero(np.isnan(values))
-        if missing.size:
-            todo, first = np.unique(ids[missing], return_index=True)
-            table[todo] = compute(arr[missing[first]])
-            values[missing] = table[ids[missing], column]
-        return values
-
-    def _algorithm_memo(self, algorithm: Algorithm) -> _Memo:
-        memo = self._algorithm_memos.get(algorithm.expression)
-        if memo is None:
-            memo = self._algorithm_memos[algorithm.expression] = _Memo(2)
-        return memo
-
-    def _algorithm_column(
+    def _algorithm_columns(
         self,
-        algorithm: Algorithm,
+        algorithms: Sequence[Algorithm],
         arr: np.ndarray,
         column: int,
-        ids: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        memo = self._algorithm_memo(algorithm)
-        if ids is None:
-            ids = memo.ids(_row_keys(arr))
+        """``(n, A)``: ``column`` of each algorithm's memo rows for ``arr``.
 
-        def compute(sub: np.ndarray) -> np.ndarray:
-            calls = self._batched_calls(algorithm, sub)
-            rows = np.full((sub.shape[0], 2), np.nan)
-            if column == _MEASURED:
-                predicted = np.empty(sub.shape[0])
-                rows[:, _MEASURED] = self.machine.measure_algorithm_batch(
-                    calls, context=algorithm.name, predicted=predicted
-                )
-                rows[:, _PREDICTED] = predicted
-            else:
-                rows[:, _PREDICTED] = self.machine.predict_algorithm_batch(
-                    calls, context=algorithm.name
-                )
-            return rows
-
-        return self._memoised(
-            memo.table(algorithm.name), arr, ids, column, compute
-        )
+        Per expression, the instance ids are looked up once and every
+        algorithm's memo column is gathered.  The rows any of them
+        lacks are computed in one machine call, over the union of the
+        missing rows, for each algorithm missing at least one.  The
+        model is deterministic, so rows rewritten that way get the
+        bits they already held.  A measurement fills both columns; a
+        prediction-only miss writes only the predicted column.
+        """
+        out = np.empty((arr.shape[0], len(algorithms)))
+        by_expression: Dict[str, List[int]] = {}
+        for j, algorithm in enumerate(algorithms):
+            by_expression.setdefault(algorithm.expression, []).append(j)
+        keys = _row_keys(arr)
+        for expression, columns in by_expression.items():
+            memo = self._algorithm_memos.get(expression)
+            if memo is None:
+                memo = self._algorithm_memos[expression] = _Memo(2)
+            ids = memo.ids(keys)
+            tables = [memo.table(algorithms[j].name) for j in columns]
+            values = np.stack([table[ids, column] for table in tables])
+            missing = np.isnan(values)
+            lacking = np.flatnonzero(missing.any(axis=1))
+            if lacking.size:
+                rows = np.flatnonzero(missing.any(axis=0))
+                todo, first = np.unique(ids[rows], return_index=True)
+                sub = arr[rows[first]]
+                chosen = [algorithms[columns[r]] for r in lacking.tolist()]
+                plans = [self._batched_calls(a, sub) for a in chosen]
+                contexts = [a.name for a in chosen]
+                if column == _MEASURED:
+                    predicted = np.empty((len(chosen), todo.size))
+                    measured = self.machine.measure_algorithms_batch(
+                        plans, contexts, predicted=predicted
+                    )
+                else:
+                    measured = None
+                    predicted = self.machine.predict_algorithms_batch(
+                        plans, contexts
+                    )
+                for i, r in enumerate(lacking.tolist()):
+                    table = tables[r]
+                    if measured is not None:
+                        table[todo, _MEASURED] = measured[i]
+                    table[todo, _PREDICTED] = predicted[i]
+                    values[r] = table[ids, column]
+            out[:, columns] = values.T
+        return out
 
     def time_algorithms(
         self, algorithm: Algorithm, instances: Sequence[Sequence[int]]
     ) -> np.ndarray:
         arr = self._instances_matrix(instances)
-        return self._algorithm_column(algorithm, arr, _MEASURED)
+        return self._algorithm_columns([algorithm], arr, _MEASURED)[:, 0]
+
+    def time_algorithms_matrix(
+        self,
+        algorithms: Sequence[Algorithm],
+        instances: Sequence[Sequence[int]],
+    ) -> np.ndarray:
+        """``(n, A)`` measured times from each algorithm's memo rows.
+
+        The missing rows of all the algorithms are measured in one
+        machine call (see :meth:`_algorithm_columns`).
+        """
+        arr = self._instances_matrix(instances)
+        return self._algorithm_columns(algorithms, arr, _MEASURED)
 
     def predict_times(
         self,
@@ -236,10 +250,10 @@ class SimulatedBackend(Backend):
         # into every measurement's noise stream, so predictions are
         # context-dependent and cannot be shared across plans.  They
         # live in the algorithm's memo rows next to its measurements
-        # instead; the noise-free dedupe across plans is the
-        # MachineModel's base-seconds cache.
+        # instead; the noise-free dedupe across plans happens inside
+        # each machine pass.
         arr = self._instances_matrix(instances)
-        return self._algorithm_column(algorithm, arr, _PREDICTED)
+        return self._algorithm_columns([algorithm], arr, _PREDICTED)[:, 0]
 
     def predict_times_matrix(
         self,
@@ -248,23 +262,11 @@ class SimulatedBackend(Backend):
     ) -> np.ndarray:
         """``(n, A)`` predictions from each algorithm's memo rows.
 
-        The instance ids are looked up once per expression, not once
-        per algorithm.  Rows an earlier :meth:`time_algorithms` filled
-        are hits.
+        Rows an earlier measurement filled are hits; the rest are
+        predicted in one machine call (see :meth:`_algorithm_columns`).
         """
         arr = self._instances_matrix(instances)
-        keys = _row_keys(arr)
-        ids: Dict[str, np.ndarray] = {}
-        out = np.empty((arr.shape[0], len(algorithms)))
-        for j, algorithm in enumerate(algorithms):
-            if algorithm.expression not in ids:
-                ids[algorithm.expression] = self._algorithm_memo(
-                    algorithm
-                ).ids(keys)
-            out[:, j] = self._algorithm_column(
-                algorithm, arr, _PREDICTED, ids[algorithm.expression]
-            )
-        return out
+        return self._algorithm_columns(algorithms, arr, _PREDICTED)
 
     def time_kernels(
         self, kernel: KernelName, dims: Sequence[Sequence[int]]
@@ -277,9 +279,15 @@ class SimulatedBackend(Backend):
         memo = self._kernel_memos.get(kernel)
         if memo is None:
             memo = self._kernel_memos[kernel] = _Memo(1)
-
-        def compute(sub: np.ndarray) -> np.ndarray:
-            return self.machine.measure_kernel_batch(kernel, sub)[:, None]
-
         ids = memo.ids(_row_keys(arr))
-        return self._memoised(memo.table(kernel), arr, ids, 0, compute)
+        table = memo.table(kernel)
+        values = table[ids, 0]
+        missing = np.flatnonzero(np.isnan(values))
+        if missing.size:
+            # Each distinct missing row is measured exactly once.
+            todo, first = np.unique(ids[missing], return_index=True)
+            table[todo, 0] = self.machine.measure_kernel_batch(
+                kernel, arr[missing[first]]
+            )
+            values[missing] = table[ids[missing], 0]
+        return values

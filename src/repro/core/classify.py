@@ -223,26 +223,26 @@ def evaluate_instances(
     """Measure every algorithm at every instance on the given backend.
 
     FLOP counts come from evaluating each algorithm's polynomial over
-    whole instance columns; times come from the backend's batch API
-    (vectorized on the simulated machine, a scalar loop otherwise).
-    With ``predict=True`` the seconds are the benchmark-based
-    predictions (``Backend.predict_times``) instead of whole-algorithm
-    measurements — Experiment 3's view of the same instances.
+    whole instance columns; times come from one call of the backend's
+    evaluation-batch API, ``Backend.time_algorithms_matrix`` (one
+    machine pass per bounded group of plans on the simulated machine,
+    a scalar loop otherwise).  With ``predict=True`` the seconds are
+    the benchmark-based predictions (``Backend.predict_times_matrix``)
+    instead of whole-algorithm measurements — Experiment 3's view of
+    the same instances.
     """
     arr = np.asarray(instances, dtype=np.int64)
     if arr.ndim != 2:
         raise ValueError(
             f"instances must be a (n, n_dims) matrix, got shape {arr.shape!r}"
         )
+    # One matrix call per batch, so the backend can share work across
+    # *plans*: one machine call on the simulated backend; a real one
+    # predicts by benchmarking each distinct (kernel, dims) call once.
     if predict:
-        # One matrix call so the backend can dedupe identical
-        # (kernel, dims) benchmarks across *plans*, not just within
-        # one plan's instances.
         seconds = backend.predict_times_matrix(algorithms, arr)
     else:
-        seconds = np.stack(
-            [backend.time_algorithms(a, arr) for a in algorithms], axis=1
-        )
+        seconds = backend.time_algorithms_matrix(algorithms, arr)
     return BatchEvaluation(
         instances=arr,
         algorithm_names=tuple(a.name for a in algorithms),

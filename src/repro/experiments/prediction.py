@@ -6,9 +6,10 @@ each algorithm's isolated kernel benchmark times.  Agreement means an
 anomaly could have been anticipated from one-off per-kernel data; the
 disagreements measure what only inter-kernel (cache) effects explain.
 
-All cells are predicted as one batch per algorithm through the
-backend's ``predict_times`` — vectorized on the simulated machine, and
-deduplicating repeated kernel benchmarks on a real one.
+All cells of all algorithms are predicted in one call of the
+backend's ``predict_times_matrix`` — memo reads plus one machine call
+for the misses on the simulated machine, and one benchmark per
+distinct kernel call across all the plans on a real one.
 """
 
 from __future__ import annotations

@@ -42,6 +42,19 @@ path on one-element arrays.  NumPy selects its ufunc inner loops by
 dtype and machine, never by array length, so grouping measurements
 into batches cannot change a single bit of any result — the
 equivalence suite in ``tests/test_batch_equivalence.py`` pins this.
+
+The unit of algorithm measurement is the evaluation batch, not the
+plan: :meth:`MachineModel.measure_algorithms_batch` and
+:meth:`MachineModel.predict_algorithms_batch` time P plans over the
+same n rows in *passes*.  A pass covers consecutive plans up to
+:data:`_PASS_IDS` padded ``(call slot, row)`` ids, computes base
+seconds once per distinct ``(kernel, dims)`` slot, folds the
+measurement ids with one :func:`~repro.machine.noise.fold_columns`
+per kernel arity, and draws all its noise in one
+:meth:`MachineModel._median_factors`.  Noise is elementwise in the
+ids and base times and interference are elementwise in the dims, so
+each plan's row equals its one-plan measurement bit for bit; the
+one-plan methods are one-plan calls of the same pass.
 """
 
 from __future__ import annotations
@@ -101,13 +114,17 @@ _KERNEL_TOKEN = {
 #: from every algorithm's stream, like a standalone benchmark run.
 _BENCH_CONTEXT = "kernel-benchmark"
 
-#: Byte budget of the noise-free base-seconds cache (keys + values).
-#: Within one evaluation batch, equivalent plans revisit the same
-#: ``(kernel, dims-column)`` slots; the analytic base time is
-#: noise-free and context-free, so it is the one quantity that *can*
-#: be shared across plans.  Bounded by bytes (not entries) because
-#: both the key and the value scale with the batch length.
-_BASE_CACHE_MAX_BYTES = 32 * 1024 * 1024
+#: Most padded ``(call slot, row)`` measurement ids one pass of
+#: :meth:`MachineModel._algorithms_batch` covers.  A pass holds about
+#: a dozen 8-byte arrays of this length, so the bound caps its working
+#: set (a 4,958-row batch of sum4's 25 plans would otherwise hold
+#: 743,700 ids) while a 128-row batch of all 25 plans (19,200 ids)
+#: still shares one pass.
+_PASS_IDS = 32768
+
+#: Ids per block of the noise kernel: the block's repetition arrays
+#: stay cache-resident through the mixing, Box-Muller and sort steps.
+_NOISE_BLOCK = 4096
 
 
 def _as_dims_matrix(kernel: KernelName, dims) -> np.ndarray:
@@ -151,11 +168,6 @@ class MachineModel:
         self.schedule_cache: dict = {}
         self._stream_base_cache: dict = {}
         self._id_heads: dict = {}
-        # Noise-free base seconds keyed by (kernel, dims-matrix bytes);
-        # shared across algorithm contexts (see _BASE_CACHE_MAX_BYTES).
-        self._base_seconds_cache: dict = {}
-        self._base_cache_bytes = 0
-        self.base_seconds_cache_hits = 0
 
     @property
     def peak_flops(self) -> float:
@@ -264,18 +276,14 @@ class MachineModel:
             self._stream_base_cache[context] = base
         return base
 
-    def _measurement_ids(
-        self,
-        context_base: int,
-        index: Optional[int],
-        kernel: KernelName,
-        dims: np.ndarray,
-    ) -> np.ndarray:
-        """Fold the measurement coordinates into per-instance noise ids.
+    def _id_head(
+        self, context_base: int, index: Optional[int], kernel: KernelName
+    ) -> np.uint64:
+        """The id every row of one call slot shares before its dims.
 
-        The coordinates every row shares (context, call index, kernel)
-        fold into one cached head id; :func:`fold` is elementwise, so
-        that equals folding them into every row.
+        It folds the coordinates all rows share (context, call index,
+        kernel) once; :func:`fold` is elementwise, so that equals
+        folding them into every row.
         """
         key = (context_base, index, kernel)
         head = self._id_heads.get(key)
@@ -284,7 +292,17 @@ class MachineModel:
             if index is not None:
                 ids = fold(ids, index)
             head = self._id_heads[key] = fold(ids, _KERNEL_TOKEN[kernel])[0]
-        return fold_columns(head, dims)
+        return head
+
+    def _measurement_ids(
+        self,
+        context_base: int,
+        index: Optional[int],
+        kernel: KernelName,
+        dims: np.ndarray,
+    ) -> np.ndarray:
+        """Fold the measurement coordinates into per-instance noise ids."""
+        return fold_columns(self._id_head(context_base, index, kernel), dims)
 
     def _median_factors(
         self, ids: np.ndarray
@@ -292,23 +310,32 @@ class MachineModel:
         """The noise order statistics ``np.median`` would use, per id.
 
         Returns ``(f_mid, None)`` for odd ``reps`` and ``(f_lo, f_hi)``
-        for even ``reps``.  The repetitions are sorted by an odd-even
+        for even ``reps``.  The ids are drawn in blocks of
+        :data:`_NOISE_BLOCK` (the factors are elementwise in the ids).
+        Each block's repetitions are sorted by an odd-even
         transposition network of elementwise min/max over contiguous
         rows; min and max return one of their inputs, so the order
         statistics are exact.
         """
-        rows = list(self.noise.rep_factors(ids, self.reps))
-        reps = len(rows)
-        scratch = np.empty_like(rows[0])
-        for sweep in range(reps):
-            for i in range(sweep % 2, reps - 1, 2):
-                low = np.minimum(rows[i], rows[i + 1], out=scratch)
-                np.maximum(rows[i], rows[i + 1], out=rows[i + 1])
-                scratch, rows[i] = rows[i], low
+        reps = self.reps
         middle = reps // 2
-        if reps % 2:
-            return rows[middle], None
-        return rows[middle - 1], rows[middle]
+        low = np.empty(ids.shape[0])
+        high = None if reps % 2 else np.empty(ids.shape[0])
+        for start in range(0, ids.shape[0], _NOISE_BLOCK):
+            block = slice(start, start + _NOISE_BLOCK)
+            rows = list(self.noise.rep_factors(ids[block], reps))
+            scratch = np.empty_like(rows[0])
+            for sweep in range(reps):
+                for i in range(sweep % 2, reps - 1, 2):
+                    smaller = np.minimum(rows[i], rows[i + 1], out=scratch)
+                    np.maximum(rows[i], rows[i + 1], out=rows[i + 1])
+                    scratch, rows[i] = rows[i], smaller
+            if high is None:
+                low[block] = rows[middle]
+            else:
+                low[block] = rows[middle - 1]
+                high[block] = rows[middle]
+        return low, high
 
     @staticmethod
     def _scaled_median(
@@ -336,84 +363,191 @@ class MachineModel:
         """Median measured time of one isolated (flushed-cache) call."""
         return float(self.measure_kernel_batch(kernel, [tuple(dims)])[0])
 
-    def _base_seconds_memo(
-        self, kernel: KernelName, dims: np.ndarray
-    ) -> np.ndarray:
-        """Noise-free base seconds, memoised across algorithm contexts.
-
-        Equivalent plans evaluated over the same instance batch issue
-        largely overlapping ``(kernel, dims-column)`` calls; the base
-        time depends only on those coordinates (no context, no noise),
-        so it is computed once per distinct column per batch.  Callers
-        must not mutate the returned array (the interference multiply
-        in :meth:`_algorithm_batch` rebinds, never writes in place).
-        """
-        key = (kernel, np.ascontiguousarray(dims).tobytes())
-        base = self._base_seconds_cache.get(key)
-        if base is None:
-            base = self.kernel_seconds_batch(kernel, dims)
-            size = len(key[1]) + base.nbytes
-            if self._base_cache_bytes + size > _BASE_CACHE_MAX_BYTES:
-                self._base_seconds_cache.clear()
-                self._base_cache_bytes = 0
-            self._base_seconds_cache[key] = base
-            self._base_cache_bytes += size
-        else:
-            self.base_seconds_cache_hits += 1
-        return base
-
-    def _algorithm_batch(
-        self,
-        calls: Sequence[KernelCallBatch],
-        context: str,
-        measured: bool,
-        predicted: bool,
-    ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
-        """Measured and/or predicted totals of one algorithm's calls.
-
-        The measurement adds the inter-kernel interference to each
-        consumer's base time; the prediction (isolated benchmarks)
-        does not.  Both use the same measurement ids, so they share
-        one draw of noise.
-        """
-        if not calls:
+    @staticmethod
+    def _batch_rows(plans: Sequence[Sequence[KernelCallBatch]]) -> int:
+        """The n rows every call batch of ``plans`` spans."""
+        if not all(plans):
             raise ValueError("algorithm batch needs at least one call")
-        context_base = self._stream_base(context)
-        n = calls[0].n
-        isolated: list = []
-        interfered: list = []
-        ids: list = []
-        previous: Optional[KernelCallBatch] = None
-        for index, call in enumerate(calls):
-            base = self._base_seconds_memo(call.kernel, call.dims)
-            isolated.append(base)
-            if measured:
-                if previous is not None and call.reads_previous:
-                    base = base * (
-                        1.0 + self.interference_penalty_batch(previous, call)
-                    )
-                interfered.append(base)
-            ids.append(
-                self._measurement_ids(
-                    context_base, index, call.kernel, call.dims
-                )
+        return plans[0][0].n if plans else 0
+
+    def _algorithms_batch(
+        self,
+        plans: Sequence[Sequence[KernelCallBatch]],
+        contexts: Sequence[str],
+        n: int,
+        measured: Optional[np.ndarray],
+        predicted: Optional[np.ndarray],
+    ) -> None:
+        """Fill ``(P, n)`` measured and/or predicted totals of P plans.
+
+        Consecutive plans share one pass while the pass's padded
+        ``(slot, row)`` ids fit in :data:`_PASS_IDS`; a single wider
+        plan is a pass of its own.
+        """
+        if len(plans) != len(contexts):
+            raise ValueError(
+                f"{len(plans)} plans but {len(contexts)} contexts"
             )
-            previous = call
-        low, high = self._median_factors(np.concatenate(ids))
+        start = 0
+        while start < len(plans):
+            stop, width = start + 1, len(plans[start])
+            while stop < len(plans):
+                wider = max(width, len(plans[stop]))
+                if wider * (stop + 1 - start) * n > _PASS_IDS:
+                    break
+                stop, width = stop + 1, wider
+            self._pass(
+                plans[start:stop],
+                contexts[start:stop],
+                n,
+                None if measured is None else measured[start:stop],
+                None if predicted is None else predicted[start:stop],
+            )
+            start = stop
 
-        def total(bases: list) -> np.ndarray:
-            per_call = self._scaled_median(np.concatenate(bases), low, high)
-            # Sequential per-call additions, never a pairwise np.sum
-            # (which would reorder the float additions for k >= 8).
-            out = np.zeros(n)
-            for index in range(len(calls)):
-                out = out + per_call[index * n:(index + 1) * n]
-            return out
+    def _pass(
+        self,
+        plans: Sequence[Sequence[KernelCallBatch]],
+        contexts: Sequence[str],
+        n: int,
+        measured: Optional[np.ndarray],
+        predicted: Optional[np.ndarray],
+    ) -> None:
+        """One machine pass over a few plans: see :meth:`_algorithms_batch`.
 
-        return (
-            total(interfered) if measured else None,
-            total(isolated) if predicted else None,
-        )
+        Every per-id array is laid out slot-major: call ``index`` of
+        plan ``p`` owns rows ``[k * n, (k + 1) * n)`` with
+        ``k = index * len(plans) + p``.  Slots past a plan's last call
+        keep a zero base time, so their scaled medians are 0.0 and
+        adding them leaves the plan's total unchanged.
+
+        - Base seconds are computed once per distinct ``(kernel,
+          dims)`` slot of the pass, and interference once per distinct
+          (producer slot, consumer slot) pair.
+        - The measurement ids come from one :func:`fold_columns` per
+          kernel arity, over every slot of that arity at once.
+        - One :meth:`_median_factors` covers all the pass's ids.  The
+          measured time adds each consumer's interference to its base
+          time; the prediction (isolated benchmarks) does not.  Both
+          use the same ids, so they share the one draw of noise.
+        """
+        count = len(plans)
+        width = max(len(calls) for calls in plans)
+        size = width * count * n
+        ids = np.zeros(size, dtype=np.uint64)
+        isolated = np.zeros(size)
+        penalty = None if measured is None else np.zeros(size)
+        # Noise-free values keyed by slot (kernel, dims bytes) or by
+        # (producer key, consumer key): equivalent plans share most.
+        bases: dict = {}
+        penalties: dict = {}
+        arity_slots: dict = {}
+        for p, (calls, context) in enumerate(zip(plans, contexts)):
+            context_base = self._stream_base(context)
+            previous = previous_key = None
+            for index, call in enumerate(calls):
+                if call.n != n:
+                    raise ValueError(
+                        f"call batches span {call.n} and {n} rows"
+                    )
+                k = index * count + p
+                rows = slice(k * n, (k + 1) * n)
+                key = (call.kernel, call.dims.tobytes())
+                base = bases.get(key)
+                if base is None:
+                    base = bases[key] = self.kernel_seconds_batch(
+                        call.kernel, call.dims
+                    )
+                isolated[rows] = base
+                if (
+                    penalty is not None
+                    and previous is not None
+                    and call.reads_previous
+                ):
+                    pair = (previous_key, key)
+                    if pair not in penalties:
+                        penalties[pair] = self.interference_penalty_batch(
+                            previous, call
+                        )
+                    penalty[rows] = penalties[pair]
+                head = self._id_head(context_base, index, call.kernel)
+                slot_rows, heads, dims = arity_slots.setdefault(
+                    KERNEL_ARITY[call.kernel], ([], [], [])
+                )
+                slot_rows.append(rows)
+                heads.append(head)
+                dims.append(call.dims)
+                previous, previous_key = call, key
+        for slot_rows, heads, dims in arity_slots.values():
+            folded = fold_columns(
+                np.repeat(np.array(heads, dtype=np.uint64), n),
+                np.concatenate(dims),
+            )
+            for j, rows in enumerate(slot_rows):
+                ids[rows] = folded[j * n:(j + 1) * n]
+        low, high = self._median_factors(ids)
+        if measured is not None:
+            interfered = isolated * (1.0 + penalty)
+            measured[...] = self._plan_totals(interfered, low, high, width, n)
+        if predicted is not None:
+            predicted[...] = self._plan_totals(isolated, low, high, width, n)
+
+    def _plan_totals(
+        self,
+        base: np.ndarray,
+        low: np.ndarray,
+        high: Optional[np.ndarray],
+        width: int,
+        n: int,
+    ) -> np.ndarray:
+        """``(P, n)``: each plan's sum of its calls' scaled medians.
+
+        ``base`` is a pass's slot-major per-id base time over ``width``
+        call slots (see :meth:`_pass`).
+        """
+        per_call = self._scaled_median(base, low, high).reshape(width, -1)
+        # Sequential per-call additions, never a pairwise np.sum
+        # (which would reorder the float additions for k >= 8).
+        total = np.zeros(per_call.shape[1])
+        for row in per_call:
+            total = total + row
+        return total.reshape(-1, n)
+
+    def measure_algorithms_batch(
+        self,
+        plans: Sequence[Sequence[KernelCallBatch]],
+        contexts: Sequence[str],
+        predicted: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """``(P, n)`` median measured times of P whole-algorithm runs.
+
+        ``plans[p]`` is one algorithm's call batches and
+        ``contexts[p]`` (typically the algorithm name) its noise
+        stream; every call batch spans the same n rows.  Row ``p``
+        equals :meth:`measure_algorithm_batch` of that one plan, bit
+        for bit: noise is elementwise in the measurement ids, base
+        times and interference are elementwise in the dims, and each
+        plan's total keeps its sequential per-call additions.
+
+        ``predicted``, when given, is a ``(P, n)`` float64 array that
+        receives :meth:`predict_algorithms_batch`'s result for the
+        same plans, computed from the same noise draw.
+        """
+        n = self._batch_rows(plans)
+        measured = np.empty((len(plans), n))
+        self._algorithms_batch(plans, contexts, n, measured, predicted)
+        return measured
+
+    def predict_algorithms_batch(
+        self,
+        plans: Sequence[Sequence[KernelCallBatch]],
+        contexts: Sequence[str],
+    ) -> np.ndarray:
+        """``(P, n)`` sums of per-kernel times (see the single-plan form)."""
+        n = self._batch_rows(plans)
+        predicted = np.empty((len(plans), n))
+        self._algorithms_batch(plans, contexts, n, None, predicted)
+        return predicted
 
     def measure_algorithm_batch(
         self,
@@ -432,12 +566,11 @@ class MachineModel:
         receives :meth:`predict_algorithm_batch`'s result for the same
         calls, computed from the same noise draw.
         """
-        measured, prediction = self._algorithm_batch(
-            calls, context, measured=True, predicted=predicted is not None
-        )
-        if predicted is not None:
-            predicted[...] = prediction
-        return measured
+        return self.measure_algorithms_batch(
+            [calls],
+            [context],
+            predicted=None if predicted is None else predicted[None],
+        )[0]
 
     def predict_algorithm_batch(
         self, calls: Sequence[KernelCallBatch], context: str = ""
@@ -448,9 +581,7 @@ class MachineModel:
         so the prediction error isolates exactly what isolated
         benchmarks cannot see — the inter-kernel cache effects.
         """
-        return self._algorithm_batch(
-            calls, context, measured=False, predicted=True
-        )[1]
+        return self.predict_algorithms_batch([calls], [context])[0]
 
     def measure_algorithm(
         self, calls: Sequence[KernelCall], context: str = ""

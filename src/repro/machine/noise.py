@@ -72,10 +72,12 @@ def fold_columns(head, matrix: np.ndarray) -> np.ndarray:
     """``(n,)`` ids: ``head`` with each row's fields folded in, in order.
 
     Equal to chaining :func:`fold` over the columns of the ``(n, m)``
-    integer ``matrix`` starting from ``head`` (a ``uint64`` id shared
-    by every row), computed in place.
+    integer ``matrix`` starting from ``head``, computed in place.
+    ``head`` is one ``uint64`` id shared by every row, or an ``(n,)``
+    array of per-row ids (left unmodified).
     """
-    ids = np.full(matrix.shape[0], head, dtype=np.uint64)
+    ids = np.empty(matrix.shape[0], dtype=np.uint64)
+    ids[...] = head
     scratch = np.empty_like(ids)
     for j in range(matrix.shape[1]):
         column = np.asarray(matrix[:, j], dtype=np.int64).view(np.uint64)

@@ -416,22 +416,31 @@ def test_predict_times_matrix_dedupes_across_plans(aatb):
     assert len(backend.kernel_calls) == 4
 
 
-def test_machine_base_seconds_memo_hits_across_plans(aatb):
-    """The noise-free base-seconds cache is hit across plan contexts
-    without perturbing a single bit of any prediction."""
+def test_machine_base_seconds_dedupe_across_plans(aatb, monkeypatch):
+    """One pass computes each distinct (kernel, dims) base time once
+    across plan contexts, without perturbing a single bit of any
+    prediction."""
     instances = _instances(3, 10, seed=5)
     algorithms = aatb.algorithms()
     shared = SimulatedBackend(paper_machine(seed=0))
-    assert shared.machine.base_seconds_cache_hits == 0
-    got = [
-        shared.predict_times(a, instances).tolist() for a in algorithms
-    ]
-    # Every plan starts with SYRK or GEMM over overlapping dim columns.
-    assert shared.machine.base_seconds_cache_hits > 0
-    for algorithm, expected in zip(algorithms, got):
-        # A fresh machine per algorithm sees every column cold.
+    computed = []
+    original = shared.machine.kernel_seconds_batch
+
+    def counted(kernel, dims):
+        computed.append((kernel, np.ascontiguousarray(dims).tobytes()))
+        return original(kernel, dims)
+
+    monkeypatch.setattr(shared.machine, "kernel_seconds_batch", counted)
+    got = shared.predict_times_matrix(algorithms, instances)
+    # Every plan starts with SYRK or GEMM over overlapping dim columns:
+    # 10 call slots, fewer distinct ones, each computed exactly once.
+    assert len(computed) == len(set(computed)) < 2 * len(algorithms)
+    for j, algorithm in enumerate(algorithms):
+        # A fresh machine per algorithm shares nothing across plans.
         fresh = SimulatedBackend(paper_machine(seed=0))
-        assert fresh.predict_times(algorithm, instances).tolist() == expected
+        assert fresh.predict_times(algorithm, instances).tolist() == (
+            got[:, j].tolist()
+        )
 
 
 # ----------------------------------------------------------------------

@@ -1,28 +1,36 @@
-"""One noise pass per algorithm measurement, one memo row per instance.
+"""One machine pass per evaluation batch, one memo row per instance.
 
-The machine draws an algorithm's noise factors once and returns both
-the measured column (with inter-kernel interference) and the benchmark
-prediction (without) from that one draw.  It is exact because the two
-columns use the same measurement ids by design and rounding is
-monotone: for a base time ``c > 0`` the median of ``c * f`` is the
-scaled median factor.  The differential tests below hold it to the
-previous formulation, kept here as the reference: separate
-``np.median(base[:, None] * factors, axis=1)`` passes per column over
-the out-of-place noise formula.  Every comparison is bit equality.
+The machine measures all the plans of an evaluation batch together:
+one pass draws the noise of every call slot of several plans at once
+and returns both the measured column (with inter-kernel interference)
+and the benchmark prediction (without) from that one draw.  It is
+exact because the two columns use the same measurement ids by design
+and rounding is monotone: for a base time ``c > 0`` the median of
+``c * f`` is the scaled median factor.  Noise, base times and
+interference are elementwise, so grouping plans into passes changes
+no bit either.  The differential tests below hold the pass to the
+per-plan formulation, kept here as the reference: separate
+``np.median(base[:, None] * factors, axis=1)`` passes per call and
+column over the out-of-place noise formula, summed call by call.
+Every comparison is bit equality.
 
 The memo tests check the backend side: a measurement also fills its
-prediction, so predicting measured instances calls no machine code.
+prediction, so predicting measured instances calls no machine code,
+and a matrix call over a partly warm memo equals fresh backends.
 """
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import repro.machine.machine as machine_module
+
 from repro.backends.simulated import SimulatedBackend
 from repro.core.searchspace import paper_box
 from repro.expressions.registry import get_expression, known_expressions
-from repro.kernels.types import KERNEL_ARITY, KernelName
+from repro.kernels.types import KERNEL_ARITY, KernelCallBatch, KernelName
 from repro.machine.machine import MachineModel
 from repro.machine.noise import (
     _STREAM_M,
@@ -184,6 +192,151 @@ def test_shared_pass_matches_separate_median_passes(family, kind):
                 machine.predict_algorithm_batch(calls, context=name),
                 want_predicted,
             )
+        _assert_pass_matches_reference(machine, plans)
+
+
+def _assert_pass_matches_reference(machine, plans):
+    """Each row of the multi-plan forms equals that plan's reference."""
+    names = [name for name, _ in plans]
+    calls = [batches for _, batches in plans]
+    want = [reference_totals(machine, batches, name) for name, batches in plans]
+    predicted = np.empty((len(plans), calls[0][0].n))
+    measured = machine.measure_algorithms_batch(
+        calls, names, predicted=predicted
+    )
+    assert np.array_equal(measured, np.array([m for m, _ in want]))
+    assert np.array_equal(predicted, np.array([q for _, q in want]))
+    assert np.array_equal(
+        machine.predict_algorithms_batch(calls, names),
+        np.array([q for _, q in want]),
+    )
+
+
+def _mixed_plans(n: int):
+    """Plans of 2, 3, 4 and 14 calls over the same ``n`` rows."""
+    plans = []
+    for family, take in (("aatb", 2), ("sum8", 2), ("chain4", 2), ("sum3", 2)):
+        expression = get_expression(family)
+        arr = _instances(expression.n_dims, n, seed=n + len(family))[:n]
+        plans += [
+            (algorithm.name, algorithm.kernel_call_batches(arr))
+            for algorithm in expression.algorithms()[:take]
+        ]
+    # Interleave long and short plans so every pass pads some of them.
+    return plans[::2] + plans[1::2]
+
+
+def _equal_dims_plans(n: int):
+    """Every arity-2 kernel over one dims matrix, in two orders.
+
+    The slots' dims bytes are equal, their kernels (and so their base
+    times and interference) are not.
+    """
+    rng = np.random.default_rng(n)
+    dims = rng.integers(5, 1400, size=(n, 2))
+    kernels = (KernelName.SYRK, KernelName.SYMM, KernelName.ADD,
+               KernelName.TRSM)
+    return [
+        (
+            f"equal-dims-{order}",
+            tuple(
+                KernelCallBatch(kernel, dims, reads_previous=index > 0)
+                for index, kernel in enumerate(kernels[::step])
+            ),
+        )
+        for order, step in (("forward", 1), ("reverse", -1))
+    ]
+
+
+@pytest.mark.parametrize("n", (1, 7))
+@pytest.mark.parametrize("kind", NOISE_KINDS)
+def test_pass_over_plans_of_unequal_length_matches_reference(n, kind):
+    plans = _mixed_plans(n) + _equal_dims_plans(n)
+    assert len({len(calls) for _, calls in plans}) == 4
+    for machine in _machines(kind):
+        _assert_pass_matches_reference(machine, plans)
+
+
+def _record_passes(monkeypatch):
+    """Record the plan count of every machine pass."""
+    sizes = []
+    original = MachineModel._pass
+
+    def recorded(self, plans, *args):
+        sizes.append(len(plans))
+        return original(self, plans, *args)
+
+    monkeypatch.setattr(MachineModel, "_pass", recorded)
+    return sizes
+
+
+def test_wide_batch_splits_into_bounded_passes(monkeypatch):
+    """sum3's 4 plans x 4 calls over 3,000 rows exceed one pass."""
+    expression = get_expression("sum3")
+    arr = _instances(expression.n_dims, 1500, seed=2)
+    assert arr.shape[0] == 3000
+    plans = [
+        (algorithm.name, algorithm.kernel_call_batches(arr))
+        for algorithm in expression.algorithms()
+    ]
+    sizes = _record_passes(monkeypatch)
+    template = paper_machine(seed=3)
+    for reps in (5, 6):
+        machine = MachineModel(template.spec, noise=template.noise, reps=reps)
+        _assert_pass_matches_reference(machine, plans)
+    # 2 plans x 4 slots x 3,000 rows = 24,000 ids fit; 3 plans do not.
+    assert sizes == [2, 2] * 4
+
+
+@pytest.mark.parametrize(
+    "bound, want",
+    [
+        # Widths 2, 14, 3, 4, 2, 14, 3, 4 over n = 5 rows: a pass's
+        # ids are its widest plan's calls x its plans x n.
+        (14 * 2 * 5, [2, 3, 2, 1]),
+        (14 * 2 * 5 - 1, [1, 1, 3, 1, 2]),
+        (14 * 3 * 5, [3, 3, 2]),
+        (1, [1] * 8),
+        (14 * 8 * 5, [8]),
+        (14 * 8 * 5 - 1, [7, 1]),
+    ],
+)
+def test_pass_bound_counts_padded_ids(bound, want, monkeypatch):
+    plans = _mixed_plans(5)
+    assert [len(calls) for _, calls in plans] == [2, 14, 3, 4, 2, 14, 3, 4]
+    monkeypatch.setattr(machine_module, "_PASS_IDS", bound)
+    sizes = _record_passes(monkeypatch)
+    machine = paper_machine(seed=1)
+    _assert_pass_matches_reference(machine, plans)
+    assert sizes == want * 2  # measure, then predict
+
+
+def test_pass_memory_is_bounded_by_the_pass_constant():
+    """A 5,000-row batch of sum4's 25 plans stays within a few passes.
+
+    Unbounded, one pass would hold 25 x 6 x 5,000 = 750,000 ids and
+    its temporaries (~58 MB traced).  Bounded, the peak is the
+    ``(P, n)`` outputs plus a working set proportional to
+    ``_PASS_IDS``: every per-id array is at most 8 bytes an id, and a
+    pass holds fewer than 32 such arrays at once.
+    """
+    expression = get_expression("sum4")
+    rng = np.random.default_rng(5)
+    arr = rng.integers(5, 1400, size=(5000, expression.n_dims))
+    algorithms = expression.algorithms()
+    plans = [a.kernel_call_batches(arr) for a in algorithms]
+    names = [a.name for a in algorithms]
+    machine = paper_machine(seed=0)
+    predicted = np.empty((len(plans), arr.shape[0]))
+    machine.measure_algorithms_batch(plans[:1], names[:1])  # warm caches
+    tracemalloc.start()
+    try:
+        machine.measure_algorithms_batch(plans, names, predicted=predicted)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    outputs = predicted.nbytes
+    assert peak < outputs + 32 * 8 * machine_module._PASS_IDS
 
 
 @pytest.mark.parametrize("kind", NOISE_KINDS)
@@ -217,19 +370,21 @@ def test_kernel_medians_match_the_median_of_scaled_factors(kind):
 # ----------------------------------------------------------------------
 
 
-MEASURE, PREDICT = "measure_algorithm_batch", "predict_algorithm_batch"
+MEASURE, PREDICT = "measure_algorithms_batch", "predict_algorithms_batch"
 
 
 class _Counting:
-    """Wrap a machine method, recording the rows of each call."""
+    """Wrap a machine method, recording the plans and rows of each call."""
 
     def __init__(self, monkeypatch, machine, name):
         self.rows = []
+        self.plans = []
         original = getattr(machine, name)
 
-        def counted(calls, *args, **kwargs):
-            self.rows.append(calls[0].n)
-            return original(calls, *args, **kwargs)
+        def counted(plans, *args, **kwargs):
+            self.plans.append(len(plans))
+            self.rows.append(plans[0][0].n)
+            return original(plans, *args, **kwargs)
 
         monkeypatch.setattr(machine, name, counted)
 
@@ -239,15 +394,85 @@ class _Counting:
 
 
 def _fresh_predictions(algorithms, instances, seed):
-    fresh = SimulatedBackend(paper_machine(seed=seed))
-    return fresh.predict_times_matrix(algorithms, instances)
+    """Per-algorithm predictions, each from a fresh backend."""
+    return np.stack(
+        [
+            SimulatedBackend(paper_machine(seed=seed)).predict_times(
+                a, instances
+            )
+            for a in algorithms
+        ],
+        axis=1,
+    )
 
 
 def _fresh_measurements(algorithms, instances, seed):
-    fresh = SimulatedBackend(paper_machine(seed=seed))
+    """Per-algorithm measurements, each from a fresh backend."""
     return np.stack(
-        [fresh.time_algorithms(a, instances) for a in algorithms], axis=1
+        [
+            SimulatedBackend(paper_machine(seed=seed)).time_algorithms(
+                a, instances
+            )
+            for a in algorithms
+        ],
+        axis=1,
     )
+
+
+@pytest.mark.parametrize("family", ("aatb", "chain4", "sum3"))
+def test_time_algorithms_matrix_is_one_machine_call(family, monkeypatch):
+    expression = get_expression(family)
+    algorithms = expression.algorithms()
+    instances = _instances(expression.n_dims, 20, seed=4)
+    backend = SimulatedBackend(paper_machine(seed=3))
+    measure = _Counting(monkeypatch, backend.machine, MEASURE)
+    predict = _Counting(monkeypatch, backend.machine, PREDICT)
+    got = backend.time_algorithms_matrix(algorithms, instances)
+    assert measure.plans == [len(algorithms)]
+    assert measure.rows == [len(instances)]
+    assert np.array_equal(got, _fresh_measurements(algorithms, instances, 3))
+    # Predicting the measured rows afterwards calls no machine code.
+    assert np.array_equal(
+        backend.predict_times_matrix(algorithms, instances),
+        _fresh_predictions(algorithms, instances, 3),
+    )
+    assert measure.calls == 1 and predict.calls == 0
+
+
+@pytest.mark.parametrize("family", ("aatb", "chain4", "sum3"))
+def test_matrix_calls_over_a_partly_warm_memo_match_fresh_backends(
+    family, monkeypatch
+):
+    expression = get_expression(family)
+    algorithms = expression.algorithms()
+    instances = _instances(expression.n_dims, 15, seed=7)
+    rows = np.concatenate([instances, instances[:5]])
+    backend = SimulatedBackend(paper_machine(seed=5))
+    # Algorithm 0 measured on rows 0-9, algorithm 1 predicted only on
+    # rows 5-14, the rest cold.
+    backend.time_algorithms(algorithms[0], instances[:10])
+    backend.predict_times(algorithms[1], instances[5:15])
+    measure = _Counting(monkeypatch, backend.machine, MEASURE)
+    predict = _Counting(monkeypatch, backend.machine, PREDICT)
+    # Rows 0-9: algorithm 0 hits; the others miss some of the 10 rows.
+    got = backend.predict_times_matrix(algorithms, instances[:10])
+    assert predict.plans == [len(algorithms) - 1]
+    assert predict.rows == [10]
+    assert measure.calls == 0
+    assert np.array_equal(
+        got, _fresh_predictions(algorithms, instances[:10], 5)
+    )
+    # No algorithm has a measurement at every row: one call over all
+    # 30 distinct rows, the 5 repeated rows computed once.
+    got = backend.time_algorithms_matrix(algorithms, rows)
+    assert measure.plans == [len(algorithms)]
+    assert measure.rows == [30]
+    assert np.array_equal(got, _fresh_measurements(algorithms, rows, 5))
+    assert np.array_equal(
+        backend.predict_times_matrix(algorithms, rows),
+        _fresh_predictions(algorithms, rows, 5),
+    )
+    assert measure.calls == 1 and predict.calls == 1
 
 
 @pytest.mark.parametrize("family", ("aatb", "chain4", "sum3"))
