@@ -5,15 +5,13 @@ Every load-bearing mechanism of the stack is registered here as a
 holding everything else at the baseline.  A component describes two
 things:
 
-* **How the study changes.**  Most components map to a
-  :class:`StudyVariant` — a named, deterministic modification of the
+* **How the study changes.**  Machine and pruning components map to
+  a :class:`StudyVariant` — a named, deterministic modification of the
   study pipeline (a different machine construction or a recompilation
-  under a tighter pruning budget) — or to a non-default machine
-  *schedule*.  Variants
-  participate in the :class:`~repro.figures.cache.StudyKey`, so
-  variant studies ride the same parallel runner and
-  :class:`~repro.figures.cache.StudyStore` cache as baseline ones and
-  never collide with them.
+  under a tighter pruning budget).  Variants participate in the
+  :class:`~repro.figures.cache.StudyKey`, so variant studies ride the
+  same parallel runner and :class:`~repro.figures.cache.StudyStore`
+  cache as baseline ones and never collide with them.
 * **How anomaly *detection* changes.**  The ``drop-detector-*``
   components leave the study untouched and instead remove one member
   from the harness's detector ensemble (the paper's §5 discriminants
@@ -51,24 +49,21 @@ DEFAULT_VARIANT = "default"
 DETECTORS = ("benchmark-sum", "profiled-time", "flops-profile-hybrid")
 
 
-def _silent_noise_machine(seed: int, schedule: str) -> MachineModel:
+def _silent_noise_machine(seed: int) -> MachineModel:
     """The paper machine with measurement noise forced silent."""
     return MachineModel(
         xeon_silver_4210_like(),
         noise=NoiseModel(sigma=0.0, spike_probability=0.0, seed=seed),
         reps=1,
-        schedule=schedule,
     )
 
 
-#: machine-construction key → factory(seed, schedule).
+#: machine-construction key → factory(seed).
 _MACHINES = {
-    "paper": lambda seed, schedule: paper_machine(seed, schedule),
+    "paper": paper_machine,
     "no-noise": _silent_noise_machine,
-    "no-cache": lambda seed, schedule: no_cache_machine(seed, schedule),
-    "no-variants": lambda seed, schedule: no_variants_machine(
-        seed, schedule
-    ),
+    "no-cache": no_cache_machine,
+    "no-variants": no_variants_machine,
 }
 
 
@@ -97,8 +92,8 @@ class StudyVariant:
         if self.prune_budget is not None and self.prune_budget < 1:
             raise ValueError("prune_budget must be >= 1")
 
-    def build_machine(self, seed: int, schedule: str) -> MachineModel:
-        return _MACHINES[self.machine](seed, schedule)
+    def build_machine(self, seed: int) -> MachineModel:
+        return _MACHINES[self.machine](seed)
 
     def expression_for(self, name: str) -> Expression:
         """The expression this variant studies.
@@ -180,13 +175,11 @@ class Component:
 
     name: str
     description: str
-    #: "machine" | "pruning" | "schedule" | "detector"
+    #: "machine" | "pruning" | "detector"
     kind: str
     #: Study variant the component maps to (``default`` when the
-    #: component changes the schedule or the detector ensemble).
+    #: component changes the detector ensemble).
     variant: str = DEFAULT_VARIANT
-    #: Machine step-schedule override (``default`` = baseline's).
-    schedule: str = "default"
     #: Detector dropped from the ensemble (detector components only).
     dropped_detector: Optional[str] = None
 
@@ -201,11 +194,6 @@ class Component:
                 f"unknown detector {self.dropped_detector!r}; "
                 f"known: {'/'.join(DETECTORS)}"
             )
-
-    @property
-    def needs_own_study(self) -> bool:
-        """Whether the component's study key differs from baseline's."""
-        return self.variant != DEFAULT_VARIANT or self.schedule != "default"
 
 
 #: Every ablatable component, in registry (presentation) order.
@@ -244,19 +232,6 @@ COMPONENTS: Dict[str, Component] = {
             kind="pruning",
             variant="prune-budget-2",
             description="cost-guided tree pruning swept to budget 2",
-        ),
-        Component(
-            name="schedule-min-interference",
-            kind="schedule",
-            schedule="min-interference",
-            description="interference-minimizing step reordering",
-        ),
-        Component(
-            name="schedule-max-interference",
-            kind="schedule",
-            schedule="max-interference",
-            description="interference-maximizing step reordering "
-            "(adversarial schedule)",
         ),
         Component(
             name="drop-detector-benchmark-sum",

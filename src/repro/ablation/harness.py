@@ -3,9 +3,9 @@
 For every requested :class:`~repro.ablation.components.Component` the
 harness runs the full study pipeline with *exactly one* thing changed
 from the baseline — a machine mechanism off, a pruning budget
-tightened, a schedule forced, or one detector removed from the
-anomaly-detection ensemble — and measures the paper's
-headline statistics per expression family:
+tightened, or one detector removed from the anomaly-detection
+ensemble — and measures the paper's headline statistics per
+expression family:
 
 * **abundance** — Experiment 1's anomaly rate inside the search box;
 * **recall / precision** — of the *detector ensemble*: a region cell
@@ -182,7 +182,6 @@ class AblationConfig:
             scale=self.scale,
             seed=self.seed,
             box=self.box,
-            schedule=component.schedule,
             variant=component.variant,
         )
 
@@ -219,9 +218,8 @@ class AblationConfig:
 class _DetectionContext:
     """Per-config machinery the ensemble needs: backend + profiles.
 
-    Built lazily per (variant, schedule) and cached across expressions
-    — profile benchmarking is the expensive part and depends only on
-    the machine.
+    Built lazily per variant and cached across expressions — profile
+    benchmarking is the expensive part and depends only on the machine.
     """
 
     def __init__(self, config: FigureConfig) -> None:
@@ -390,13 +388,13 @@ def run_ablation(
                 )
             studies[key] = study
 
-    contexts: Dict[Tuple[str, str], _DetectionContext] = {}
+    contexts: Dict[str, _DetectionContext] = {}
 
     def context_for(figure_config: FigureConfig) -> _DetectionContext:
-        ctx_key = (figure_config.variant, figure_config.schedule)
-        if ctx_key not in contexts:
-            contexts[ctx_key] = _DetectionContext(figure_config)
-        return contexts[ctx_key]
+        variant = figure_config.variant
+        if variant not in contexts:
+            contexts[variant] = _DetectionContext(figure_config)
+        return contexts[variant]
 
     def metrics_for(
         figure_config: FigureConfig, enabled: Sequence[str]

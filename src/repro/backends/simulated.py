@@ -35,14 +35,13 @@ those on one-row batches, so all of them share the same memo rows.
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.backends.base import Backend
 from repro.expressions.base import Algorithm
-from repro.expressions.scheduler import scheduled_call_batches
-from repro.kernels.types import KernelCallBatch, KernelName
+from repro.kernels.types import KernelName
 from repro.machine.machine import MachineModel
 
 #: Columns of an algorithm's memo rows.
@@ -152,18 +151,6 @@ class SimulatedBackend(Backend):
             )
         return arr
 
-    def _batched_calls(
-        self, algorithm: Algorithm, arr: np.ndarray
-    ) -> Tuple[KernelCallBatch, ...]:
-        # The plan's compiled builder (shape indices resolved at
-        # codegen time).  Non-default machine schedules permute each
-        # plan's step order by the model's interference term (the
-        # schedule-as-scenario axis).
-        batches = algorithm.kernel_call_batches(arr)
-        if self.machine.schedule == "default":
-            return batches
-        return scheduled_call_batches(algorithm, batches, self.machine)
-
     def _algorithm_columns(
         self,
         algorithms: Sequence[Algorithm],
@@ -199,7 +186,7 @@ class SimulatedBackend(Backend):
                 todo, first = np.unique(ids[rows], return_index=True)
                 sub = arr[rows[first]]
                 chosen = [algorithms[columns[r]] for r in lacking.tolist()]
-                plans = [self._batched_calls(a, sub) for a in chosen]
+                plans = [a.kernel_call_batches(sub) for a in chosen]
                 contexts = [a.name for a in chosen]
                 if column == _MEASURED:
                     predicted = np.empty((len(chosen), todo.size))

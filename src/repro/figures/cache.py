@@ -1,10 +1,9 @@
 """Study stores: the shared on-disk layer of the study cache.
 
 A computed :class:`repro.figures.common.Study` is fully determined by
-its :class:`StudyKey` ``(scale, seed, expression, box, schedule)`` —
-the backend
-is deterministic and the experiment drivers are seeded — so its
-results can be persisted and reloaded across processes.  With
+its :class:`StudyKey` ``(scale, seed, expression, box, variant)`` —
+the backend is deterministic and the experiment drivers are seeded —
+so its results can be persisted and reloaded across processes.  With
 ``REPRO_CACHE_DIR`` set, regenerating an artefact a second time
 (another pytest-benchmark process, a CI re-run, a notebook restart, a
 :mod:`repro.runner` worker) costs one store read instead of the whole
@@ -93,28 +92,22 @@ STORE_KINDS = ("json", "sqlite", "remote")
 class StudyKey:
     """Everything that determines one study's results.
 
-    ``schedule`` (the machine's step-schedule policy, see
-    :data:`repro.machine.machine.SCHEDULES`) and ``variant`` (a named
-    ablation modification of the pipeline, see
-    :data:`repro.ablation.components.STUDY_VARIANTS`) participate only
-    when they are not the default: default slugs and payloads are
-    exactly the pre-scheduler/pre-ablation ones, so every existing
-    store entry stays valid and the sha256-pinned payload tests hold
-    with both axes present.
+    ``variant`` (a named ablation modification of the pipeline, see
+    :data:`repro.ablation.components.STUDY_VARIANTS`) participates only
+    when it is not the default: default slugs and payloads are exactly
+    the pre-ablation ones, so every existing store entry stays valid
+    and the sha256-pinned payload tests hold with the axis present.
     """
 
     scale: str
     seed: int
     expression: str
     box: str = "paper_box"
-    schedule: str = "default"
     variant: str = "default"
 
     @property
     def slug(self) -> str:
         slug = f"{self.scale}-seed{self.seed}-{self.expression}-{self.box}"
-        if self.schedule != "default":
-            slug += f"-{self.schedule}"
         if self.variant != "default":
             slug += f"-ablate-{self.variant}"
         return slug
@@ -324,12 +317,9 @@ def encode_study(
         "expression": key.expression,
         "box": key.box,
     }
-    if key.schedule != "default":
-        # Conditional so default-schedule payloads stay byte-identical
-        # to every pre-scheduler store entry (and the pinned shas).
-        payload["schedule"] = key.schedule
     if key.variant != "default":
-        # Same byte-compatibility contract for the ablation axis.
+        # Conditional so default payloads stay byte-identical to every
+        # pre-ablation store entry (and the pinned shas).
         payload["variant"] = key.variant
     payload.update(
         {
@@ -343,7 +333,12 @@ def encode_study(
 
 
 def decode_study(text: str, key: StudyKey) -> Optional[dict]:
-    """Parse and validate study text; None on any mismatch."""
+    """Parse and validate study text; None on any mismatch.
+
+    A payload carrying a ``schedule`` field is a study of a machine
+    that reordered plan steps, a pipeline that no longer exists; older
+    writers could file one under a default key, so it is always a miss.
+    """
     try:
         payload = json.loads(text)
         if not isinstance(payload, dict) or (
@@ -352,7 +347,7 @@ def decode_study(text: str, key: StudyKey) -> Optional[dict]:
             or payload.get("seed") != key.seed
             or payload.get("expression") != key.expression
             or payload.get("box") != key.box
-            or payload.get("schedule", "default") != key.schedule
+            or "schedule" in payload
             or payload.get("variant", "default") != key.variant
         ):
             return None

@@ -5,7 +5,7 @@ Experiment 1 (random search), Experiment 2 (region traversal) and
 Experiment 3 (benchmark prediction + confusion) — on the paper
 machine.  Figures 6-11 and both tables are different views of the
 same study, so :func:`study_for` memoises one study per
-``(scale, seed, expression, box)`` for the whole process: the
+:class:`~repro.figures.cache.StudyKey` for the whole process: the
 benchmark suite runs each pipeline once however many artefacts it
 regenerates.
 
@@ -39,7 +39,6 @@ from repro.experiments.prediction import Prediction, predict_from_benchmarks
 from repro.experiments.random_search import SearchResult, random_search
 from repro.experiments.regions import Regions, explore_regions
 from repro.expressions.base import Expression
-from repro.machine.machine import SCHEDULES
 
 #: Experiment-1 classification threshold (paper §4.1).
 SEARCH_THRESHOLD = 0.10
@@ -56,11 +55,6 @@ class FigureConfig:
     scale: str = "quick"
     seed: int = 0
     box: str = "paper_box"
-    #: Step-schedule policy of the study's machine (see
-    #: :data:`repro.machine.machine.SCHEDULES`).  Non-default schedules
-    #: reorder plan steps by the interference term — a separate study
-    #: scenario with its own cache entries.
-    schedule: str = "default"
     #: Named ablation variant of the pipeline (see
     #: :data:`repro.ablation.components.STUDY_VARIANTS`): a different
     #: machine construction or recompilation under a tighter pruning
@@ -80,11 +74,6 @@ class FigureConfig:
                 f"box must be one of {tuple(sorted(NAMED_BOXES))}, "
                 f"got {self.box!r}"
             )
-        if self.schedule not in SCHEDULES:
-            raise ValueError(
-                f"schedule must be one of {SCHEDULES}, "
-                f"got {self.schedule!r}"
-            )
         if not is_known_variant(self.variant):
             # get_variant's error text lists the known names.
             get_variant(self.variant)
@@ -99,16 +88,13 @@ class FigureConfig:
             seed=self.seed,
             expression=expression_name,
             box=self.box,
-            schedule=self.schedule,
             variant=self.variant,
         )
 
     def build_backend(self) -> SimulatedBackend:
         """The study's backend: the variant's machine at this config."""
         variant = get_variant(self.variant)
-        return SimulatedBackend(
-            variant.build_machine(self.seed, self.schedule)
-        )
+        return SimulatedBackend(variant.build_machine(self.seed))
 
     def search_params(self, expression_name: str) -> Dict[str, int]:
         # Chain-shaped families (chains, transposed chains, chain
@@ -148,7 +134,7 @@ class Study:
     confusion: ConfusionMatrix
 
 
-_STUDY_CACHE: Dict[Tuple[str, int, str, str, str, str], Study] = {}
+_STUDY_CACHE: Dict[StudyKey, Study] = {}
 
 
 def compute_study_results(
@@ -203,25 +189,17 @@ def compute_study_results(
 
 def study_for(config: FigureConfig, expression_name: str) -> Study:
     """The cached study for one expression at one scale/seed/box."""
-    key = (
-        config.scale,
-        config.seed,
-        expression_name,
-        config.box,
-        config.schedule,
-        config.variant,
-    )
+    key = config.study_key(expression_name)
     if key in _STUDY_CACHE:
         return _STUDY_CACHE[key]
 
     expression = get_variant(config.variant).expression_for(expression_name)
     backend = config.build_backend()
     store = store_from_env()
-    store_key = config.study_key(expression_name)
 
     if store is not None:
         with store:
-            loaded = store.load(store_key)
+            loaded = store.load(key)
         if loaded is not None:
             study = Study(
                 config=config,
@@ -250,7 +228,7 @@ def study_for(config: FigureConfig, expression_name: str) -> Study:
     _STUDY_CACHE[key] = study
     if store is not None:
         with store:
-            store.save(store_key, search, regions, prediction, confusion)
+            store.save(key, search, regions, prediction, confusion)
     return study
 
 

@@ -77,33 +77,6 @@ class KernelCall:
 
         return kernel_flops(self.kernel, self.dims)
 
-    def operand_elements(self) -> Any:
-        """Total matrix elements touched (inputs + output)."""
-        d = self.dims
-        if self.kernel is KernelName.GEMM:
-            m, n, k = d
-            return m * k + k * n + m * n
-        if self.kernel is KernelName.SYRK:
-            n, k = d
-            return n * k + n * n
-        if self.kernel is KernelName.ADD:
-            m, n = d
-            return m * n + m * n + m * n
-        if self.kernel is KernelName.TRSM:
-            m, n = d
-            return m * m + m * n + m * n
-        m, n = d  # SYMM
-        return m * m + m * n + m * n
-
-    def output_elements(self) -> Any:
-        """Elements of the matrix this call writes (its cache residue)."""
-        d = self.dims
-        if self.kernel is KernelName.GEMM:
-            return d[0] * d[1]
-        if self.kernel is KernelName.SYRK:
-            return d[0] * d[0]
-        return d[0] * d[1]  # SYMM / ADD / TRSM
-
 
 def _dims_column(value: Any, n: int) -> np.ndarray:
     """One dim of a call batch as an ``(n,)`` int64 column.
@@ -127,8 +100,9 @@ class KernelCallBatch:
 
     ``dims`` is an ``(n, arity)`` int64 matrix: row ``i`` holds the
     dims the slot's :class:`KernelCall` would take at instance ``i``.
-    All derived quantities are the scalar polynomials applied
-    columnwise, so they agree exactly with the per-instance values.
+    All derived quantities are polynomials in the dims applied
+    columnwise, so ``flops`` agrees exactly with the per-instance
+    :attr:`KernelCall.flops`.
     """
 
     kernel: KernelName

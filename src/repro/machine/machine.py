@@ -74,17 +74,6 @@ from repro.kernels.types import (
 from repro.machine.noise import NoiseModel, fold, fold_columns
 from repro.machine.spec import MachineSpec
 
-#: Known step-schedule policies (the machine presets' ``schedule``
-#: knob, threaded through study keys and the runner's ``--schedule``).
-#: ``default`` keeps each plan's compiled step order; the other two
-#: let :func:`repro.expressions.scheduler.schedule_order` pick the
-#: dependency-respecting permutation this model's cache-interference
-#: term scores fastest/slowest.  Reordering changes which step pairs
-#: are producer/consumer adjacent — and therefore the measured times —
-#: so non-default schedules are a distinct study scenario, never a
-#: cache-compatible variation of the default one.
-SCHEDULES = ("default", "min-interference", "max-interference")
-
 #: Relative cost of the conflict misses a *producer* kernel's cache
 #: residue inflicts on its consumer.  SYRK leaves a packed triangle
 #: behind — the consumer re-reads it as a symmetric matrix through a
@@ -148,24 +137,14 @@ class MachineModel:
         reps: int = 5,
         variant_dispatch: bool = True,
         cache_effects: bool = True,
-        schedule: str = "default",
     ) -> None:
         if reps < 1:
             raise ValueError("reps must be >= 1")
-        if schedule not in SCHEDULES:
-            raise ValueError(
-                f"schedule must be one of {SCHEDULES}, got {schedule!r}"
-            )
         self.spec = spec
         self.noise = noise if noise is not None else NoiseModel()
         self.reps = reps
         self.variant_dispatch = variant_dispatch
         self.cache_effects = cache_effects
-        self.schedule = schedule
-        #: Per-plan step orders chosen by the scheduler for this
-        #: machine's ``schedule`` (owned by
-        #: :func:`repro.expressions.scheduler.schedule_order`).
-        self.schedule_cache: dict = {}
         self._stream_base_cache: dict = {}
         self._id_heads: dict = {}
 
@@ -235,32 +214,16 @@ class MachineModel:
     def interference_penalty_batch(
         self, producer: KernelCallBatch, consumer: KernelCallBatch
     ) -> np.ndarray:
-        """Per-instance consumer slowdown from the producer's residue."""
+        """Per-instance consumer slowdown from the producer's residue.
+
+        Scales with how much of the private cache the consumer's
+        working set plus the producer's just-written residue occupy.
+        """
         if not self.cache_effects:
             return np.zeros(consumer.n)
         ws_bytes = 8 * consumer.operand_elements()
         residue_bytes = 8 * producer.output_elements()
         occupancy = np.minimum(
-            1.0, (ws_bytes + residue_bytes) / self.spec.l2_bytes
-        )
-        return _INTERFERENCE[producer.kernel] * occupancy
-
-    def interference_penalty(
-        self, producer: KernelCall, consumer: KernelCall
-    ) -> float:
-        """Relative slowdown of ``consumer`` from the producer's cache residue.
-
-        Scales with how much of the private cache the consumer's
-        working set plus the producer's just-written residue occupy —
-        so two schedules of the same plan whose final product consumes
-        differently-sized residues are genuinely (not just noise-)
-        distinct.
-        """
-        if not self.cache_effects:
-            return 0.0
-        ws_bytes = 8 * int(consumer.operand_elements())
-        residue_bytes = 8 * int(producer.output_elements())
-        occupancy = min(
             1.0, (ws_bytes + residue_bytes) / self.spec.l2_bytes
         )
         return _INTERFERENCE[producer.kernel] * occupancy

@@ -9,12 +9,9 @@
                          kernel efficiency scans lose their abrupt
                          jumps and keep only the gradual ramps.
 
-Every preset takes a ``schedule`` knob (one of
-:data:`repro.machine.machine.SCHEDULES`, default ``"default"``): a
-non-default schedule lets the plan scheduler reorder each algorithm's
-steps by the model's cache-interference term, which is a distinct
-study scenario — see ``FigureConfig.schedule`` and the runner's
-``--schedule``.
+Every preset takes only a noise ``seed``, so the presets are the
+machine factories of the ablation variants
+(:mod:`repro.ablation.components`).
 """
 
 from __future__ import annotations
@@ -30,35 +27,30 @@ _SPIKE = 0.02
 _REPS = 5
 
 
-def paper_machine(seed: int = 0, schedule: str = "default") -> MachineModel:
+def paper_machine(seed: int = 0) -> MachineModel:
     """The machine every figure and table is regenerated on."""
     return MachineModel(
         xeon_silver_4210_like(),
         noise=NoiseModel(sigma=_SIGMA, spike_probability=_SPIKE, seed=seed),
         reps=_REPS,
-        schedule=schedule,
     )
 
 
-def no_cache_machine(seed: int = 0, schedule: str = "default") -> MachineModel:
+def no_cache_machine(seed: int = 0) -> MachineModel:
     """Paper machine with inter-kernel cache effects disabled."""
     return MachineModel(
         xeon_silver_4210_like(),
         noise=NoiseModel(sigma=_SIGMA, spike_probability=_SPIKE, seed=seed),
         reps=_REPS,
         cache_effects=False,
-        schedule=schedule,
     )
 
 
-def no_variants_machine(
-    seed: int = 0, schedule: str = "default"
-) -> MachineModel:
+def no_variants_machine(seed: int = 0) -> MachineModel:
     """Paper machine with internal kernel-variant dispatch disabled."""
     return MachineModel(
         xeon_silver_4210_like(),
         noise=NoiseModel(sigma=_SIGMA, spike_probability=_SPIKE, seed=seed),
         reps=_REPS,
         variant_dispatch=False,
-        schedule=schedule,
     )

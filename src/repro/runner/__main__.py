@@ -16,24 +16,18 @@ matrix ride along via ``--extra scale:seed:expression[:box]``.
 anomaly-abundance-vs-search-volume figure from the freshly warmed
 store.
 
-``--schedule`` selects the machine's step-schedule policy for the
-whole matrix (``default``/``min-interference``/``max-interference``,
-case-insensitive) — non-default schedules are distinct study scenarios
-with their own store entries.
-
 ``--ablation`` runs the baseline-plus-one-off ablation matrix instead
 of the plain matrix (see :mod:`repro.ablation`): every registered
 component — or the ``--ablation-components`` subset — is flipped off
 one at a time, and the ranked science-delta report is printed (and
 written to ``--report-dir`` when given).  Ablation takes exactly one
-scale and one seed, and owns the schedule axis itself, so
-``--schedule``/``--abundance``/``--extra`` are usage errors with it.
+scale and one seed, so ``--abundance``/``--extra`` are usage errors
+with it.
 
-Expression names, boxes, scales and schedules are validated up front
-against
-:func:`repro.expressions.registry.is_known_expression` and the named
-tables — a typo is a usage error here, not a KeyError traceback from a
-worker process.
+Expression names, boxes, scales and store kinds are validated up front
+against :func:`repro.expressions.registry.is_known_expression` and the
+named tables — a typo is a usage error here, not a KeyError traceback
+from a worker process.
 """
 
 from __future__ import annotations
@@ -49,7 +43,6 @@ from repro.expressions.registry import (
     expression_name_help,
     is_known_expression,
 )
-from repro.machine.machine import SCHEDULES
 from repro.figures.cache import (
     CACHE_DIR_ENV,
     STORE_KINDS,
@@ -79,18 +72,6 @@ def _validated_store(kind: str) -> str:
     if normalized not in STORE_KINDS:
         raise argparse.ArgumentTypeError(
             f"unknown store {kind!r}; known: {'/'.join(STORE_KINDS)}"
-        )
-    return normalized
-
-
-def _validated_schedule(name: str) -> str:
-    """Schedule names get the same up-front treatment as stores and
-    expressions: a typo is a usage error listing the known schedules,
-    not a ValueError traceback from MachineModel inside a worker."""
-    normalized = name.strip().lower()
-    if normalized not in SCHEDULES:
-        raise argparse.ArgumentTypeError(
-            f"unknown schedule {name!r}; known: {'/'.join(SCHEDULES)}"
         )
     return normalized
 
@@ -202,14 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="paper_box",
         choices=tuple(sorted(NAMED_BOXES)),
         help="named exploration box (default: paper_box)",
-    )
-    parser.add_argument(
-        "--schedule",
-        type=_validated_schedule,
-        default=SCHEDULES[0],
-        metavar="{" + ",".join(SCHEDULES) + "}",
-        help="machine step-schedule policy for every matrix study "
-        "(default: default; case-insensitive)",
     )
     parser.add_argument(
         "--abundance",
@@ -341,19 +314,14 @@ def _run_ablation(
     """Dispatch ``--ablation`` to the shared ablation CLI body.
 
     The ablation matrix is one (scale, seed, box) with the component
-    axis swept, and components own the schedule/variant knobs — the
-    plain matrix's multi-valued and schedule flags are usage errors.
+    axis swept, and components own the variant knob — the plain
+    matrix's multi-valued flags are usage errors.
     """
     from repro.ablation.cli import execute
     from repro.ablation.harness import DEFAULT_EXPRESSIONS
 
     if args.abundance or args.extra:
         parser.error("--ablation cannot be combined with --abundance/--extra")
-    if args.schedule != SCHEDULES[0]:
-        parser.error(
-            "--ablation owns the schedule axis (via the schedule-* "
-            "components); drop --schedule"
-        )
     if len(scales) != 1:
         parser.error("--ablation takes exactly one --scale")
     if len(args.seeds) != 1:
@@ -429,7 +397,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         seeds=args.seeds,
         expressions=expressions,
         box=args.box,
-        schedule=args.schedule,
         extras=extras,
     )
     if args.list:

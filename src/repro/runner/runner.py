@@ -99,35 +99,22 @@ def study_matrix(
     seeds: Sequence[int] = (0,),
     expressions: Optional[Sequence[str]] = None,
     box: str = "paper_box",
-    schedule: str = "default",
-    variant: str = "default",
     extras: Iterable[StudyKey] = (),
 ) -> Tuple[StudyKey, ...]:
     """The full study matrix: scales × seeds × expressions, + extras.
 
-    ``expressions`` defaults to every registered expression.
-    ``schedule`` (a :data:`repro.machine.machine.SCHEDULES` name)
-    selects the machine's step-schedule policy for every matrix key —
-    the schedule-as-scenario axis — and ``variant`` (a
-    :data:`repro.ablation.components.STUDY_VARIANTS` name) the
-    ablation axis.  Extras (arbitrary user-supplied keys, e.g. a
-    ``chain6`` study or a ``wide_box`` variant) are appended;
-    duplicates are dropped while preserving first-occurrence order, so
-    a matrix is safe to feed to :meth:`StudyRunner.run` directly.
+    ``expressions`` defaults to every registered expression.  Extras
+    (arbitrary user-supplied keys, e.g. a ``chain6`` study or a
+    ``wide_box`` variant) are appended; duplicates are dropped while
+    preserving first-occurrence order, so a matrix is safe to feed to
+    :meth:`StudyRunner.run` directly.
     """
     from repro.expressions.registry import known_expressions
 
     if expressions is None:
         expressions = known_expressions()
     keys = [
-        StudyKey(
-            scale=scale,
-            seed=int(seed),
-            expression=name,
-            box=box,
-            schedule=schedule,
-            variant=variant,
-        )
+        StudyKey(scale=scale, seed=int(seed), expression=name, box=box)
         for scale in scales
         for seed in seeds
         for name in expressions
@@ -186,7 +173,6 @@ def run_study(key: StudyKey, store_kind: str, cache_dir: str) -> StudyOutcome:
                 scale=key.scale,
                 seed=key.seed,
                 box=key.box,
-                schedule=key.schedule,
                 variant=key.variant,
             )
             results = compute_study_results(config, key.expression)

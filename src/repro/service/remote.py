@@ -8,17 +8,22 @@ benchmark processes or selection services point at it with store kind
 ``remote`` and target ``host:port`` — machines that share no
 filesystem can share one store.
 
-Wire protocol (version 1): each message is a frame —
+Wire protocol (version 2): each message is a frame —
 
     4-byte big-endian unsigned length | UTF-8 JSON of that length
 
 Requests/responses are JSON objects::
 
     {"op": "ping"}                           → {"ok": true, "pong": true}
-    {"op": "load", "key": {scale, seed, expression, box}}
+    {"op": "load", "key": {scale, seed, expression, box, variant}}
                                              → {"ok": true, "payload": text|null}
     {"op": "save", "key": {...}, "payload": text}
                                              → {"ok": true}
+
+The key carries every :class:`~repro.figures.cache.StudyKey` field, so
+the server files each ablation variant under its own slug.  Version 1
+keys lacked ``variant``; the server refuses them rather than file a
+variant study under its baseline's slug.
 
 The payload is the *canonical study text* of
 :func:`repro.figures.cache.encode_study`, relayed opaquely in both
@@ -110,6 +115,7 @@ def _key_to_payload(key: StudyKey) -> dict:
         "seed": key.seed,
         "expression": key.expression,
         "box": key.box,
+        "variant": key.variant,
     }
 
 
@@ -119,6 +125,7 @@ def _key_from_payload(payload: dict) -> StudyKey:
         seed=int(payload["seed"]),
         expression=str(payload["expression"]),
         box=str(payload["box"]),
+        variant=str(payload["variant"]),
     )
 
 

@@ -41,7 +41,7 @@ from repro.runner.__main__ import main as runner_main
 
 def test_registry_covers_every_load_bearing_axis():
     kinds = {c.kind for c in COMPONENTS.values()}
-    assert kinds == {"machine", "pruning", "schedule", "detector"}
+    assert kinds == {"machine", "pruning", "detector"}
     assert len(COMPONENTS) >= 8
     # Every referenced variant/detector exists.
     for component in COMPONENTS.values():
@@ -86,24 +86,18 @@ def test_enumeration_is_exactly_baseline_plus_one_off():
     assert entries[0][0] is None  # baseline first
     assert len(entries) == 1 + len(config.components)
     baseline = entries[0][1]
-    assert (baseline.schedule, baseline.variant) == ("default", "default")
+    assert baseline.variant == "default"
     for component, figure_config in entries[1:]:
-        # Each one-off config differs from baseline in at most the one
-        # axis its component owns — never two at once.
-        changed = []
-        if figure_config.variant != baseline.variant:
-            changed.append("variant")
-        if figure_config.schedule != baseline.schedule:
-            changed.append("schedule")
-        assert len(changed) <= 1, component.name
+        # Each one-off config differs from baseline in at most its
+        # component's variant.
         assert figure_config.scale == baseline.scale
         assert figure_config.seed == baseline.seed
         assert figure_config.box == baseline.box
         if component.kind == "detector":
             # Detector drops reuse the baseline study untouched.
-            assert changed == []
+            assert figure_config == baseline
         else:
-            assert changed, component.name
+            assert figure_config.variant != baseline.variant, component.name
 
 
 def test_study_keys_are_deduplicated_and_baseline_first():
@@ -112,15 +106,14 @@ def test_study_keys_are_deduplicated_and_baseline_first():
         components=(
             "drop-detector-benchmark-sum",  # baseline key, no new study
             "no-noise",
-            "schedule-min-interference",
+            "prune-budget-2",
         ),
     )
     keys = config.study_keys()
     assert len(keys) == len(set(keys))
-    # 2 expressions x (baseline + no-noise + min-interference).
+    # 2 expressions x (baseline + no-noise + prune-budget-2).
     assert len(keys) == 6
     assert keys[0].variant == "default"
-    assert keys[0].schedule == "default"
     slugs = [key.slug for key in keys]
     assert "quick-seed0-aatb-paper_box-ablate-no-noise" in slugs
 
@@ -351,7 +344,6 @@ def test_runner_cli_ablation_delegates(tmp_path, capsys):
 def test_runner_cli_ablation_flag_conflicts(tmp_path, capsys):
     for argv, fragment in [
         (["--ablation", "--abundance"], "--abundance"),
-        (["--ablation", "--schedule", "min-interference"], "schedule"),
         (["--ablation", "--seeds", "0,1"], "one seed"),
         (
             ["--ablation", "--scale", "quick", "--scale", "full"],

@@ -89,6 +89,21 @@ def test_key_mismatch_and_corruption_fall_back_to_none(
     assert missing.load(KEY) is None
 
 
+@pytest.mark.parametrize("kind", cache.LOCAL_STORE_KINDS)
+def test_payload_with_a_schedule_field_is_a_miss(
+    tmp_path, computed_study, kind
+):
+    # Older writers could file a reordered-schedule study under a
+    # default key; the field alone, whatever its value, marks such a
+    # payload as stale.
+    with cache.make_store(kind, tmp_path) as store:
+        _save(store, computed_study)
+        payload = json.loads(store.load_text(KEY))
+        payload["schedule"] = "reordered"
+        store.save_text(KEY, json.dumps(payload, separators=(",", ":")))
+        assert store.load(KEY) is None
+
+
 def test_sqlite_store_rejects_mismatched_and_tampered_rows(
     tmp_path, computed_study
 ):

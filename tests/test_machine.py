@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.kernels.types import KernelCall, KernelName
+from repro.kernels.types import KernelCall, KernelCallBatch, KernelName
 from repro.machine.machine import MachineModel
 from repro.machine.noise import NoiseModel
 from repro.machine.presets import (
@@ -76,14 +76,18 @@ def test_variant_dispatch_flag_removes_the_cliff():
     ) == pytest.approx(with_variants.efficiency(KernelName.SYRK, above))
 
 
+def _one_row(kernel, dims, reads_previous=False):
+    call = KernelCall(kernel, dims, reads_previous=reads_previous)
+    return KernelCallBatch.from_call(call, 1)
+
+
 def test_cache_effects_flag_gates_interference():
-    producer = KernelCall(KernelName.SYRK, (400, 400))
-    consumer = KernelCall(KernelName.SYMM, (400, 400), reads_previous=True)
-    assert paper_machine(seed=0).interference_penalty(producer, consumer) > 0
-    assert (
-        no_cache_machine(seed=0).interference_penalty(producer, consumer)
-        == 0.0
-    )
+    producer = _one_row(KernelName.SYRK, (400, 400))
+    consumer = _one_row(KernelName.SYMM, (400, 400), reads_previous=True)
+    penalty = paper_machine(seed=0).interference_penalty_batch
+    assert penalty(producer, consumer)[0] > 0
+    off = no_cache_machine(seed=0).interference_penalty_batch
+    assert off(producer, consumer)[0] == 0.0
 
 
 def test_measured_algorithm_slower_than_prediction_with_cache_effects():
@@ -104,13 +108,13 @@ def test_measured_algorithm_slower_than_prediction_with_cache_effects():
 
 
 def test_interference_scales_with_producer_residue():
-    machine = paper_machine(seed=0)
-    small_producer = KernelCall(KernelName.GEMM, (40, 40, 300))
-    big_producer = KernelCall(KernelName.GEMM, (300, 300, 40))
-    consumer = KernelCall(KernelName.GEMM, (40, 120, 40), reads_previous=True)
-    assert machine.interference_penalty(
-        big_producer, consumer
-    ) > machine.interference_penalty(small_producer, consumer)
+    penalty = paper_machine(seed=0).interference_penalty_batch
+    small_producer = _one_row(KernelName.GEMM, (40, 40, 300))
+    big_producer = _one_row(KernelName.GEMM, (300, 300, 40))
+    consumer = _one_row(KernelName.GEMM, (40, 120, 40), reads_previous=True)
+    assert penalty(big_producer, consumer)[0] > penalty(
+        small_producer, consumer
+    )[0]
 
 
 def test_machine_validates_input():

@@ -14,6 +14,7 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -95,6 +96,37 @@ def test_remote_save_then_local_load(served_store):
         assert client.load_text(KEY) == "payload-sent-over-the-wire"
     finally:
         client.close()
+
+
+def test_variant_study_and_baseline_are_distinct_remote_entries(
+    served_store,
+):
+    # The wire key carries the ablation variant, so the server files a
+    # variant study under its own slug instead of over its baseline's.
+    server, backing = served_store
+    address = f"127.0.0.1:{server.port}"
+    variant_key = replace(KEY, variant="no-noise")
+    for key in (KEY, variant_key):
+        assert run_study(key, "remote", address).status == "computed"
+    client = make_store("remote", address)
+    try:
+        baseline = client.raw_payload(KEY)
+        variant = client.raw_payload(variant_key)
+        assert baseline is not None and variant is not None
+        assert baseline != variant
+        assert client.load(KEY) is not None
+        assert client.load(variant_key) is not None
+        # A version-1 key, without the variant, is refused, not guessed.
+        version1_key = {
+            "scale": KEY.scale,
+            "seed": KEY.seed,
+            "expression": KEY.expression,
+            "box": KEY.box,
+        }
+        assert client._request({"op": "load", "key": version1_key}) is None
+    finally:
+        client.close()
+    assert len(list(backing.root.glob("*.json"))) == 2
 
 
 def test_unreachable_server_degrades_to_misses():

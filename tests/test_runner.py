@@ -203,40 +203,6 @@ def test_cli_store_names_are_case_insensitive(tmp_path, capsys):
     )
 
 
-def test_cli_rejects_unknown_schedule_upfront(tmp_path, capsys):
-    # Same validation style as store names: a bad schedule is a usage
-    # error at parse time, not a ValueError traceback from MachineModel
-    # inside a worker process.
-    with pytest.raises(SystemExit) as excinfo:
-        runner_main(
-            ["--schedule", "fastest", "--cache-dir", str(tmp_path)]
-        )
-    assert excinfo.value.code == 2
-    err = capsys.readouterr().err
-    assert "unknown schedule 'fastest'" in err
-    assert "default/min-interference/max-interference" in err
-
-
-def test_cli_schedule_names_are_case_insensitive_and_slugged(
-    tmp_path, capsys
-):
-    assert (
-        runner_main(
-            [
-                "--list",
-                "--schedule", "Min-Interference",
-                "--expressions", "aatb",
-                "--cache-dir", str(tmp_path),
-            ]
-        )
-        == 0
-    )
-    listed = capsys.readouterr().out.strip().splitlines()
-    # Non-default schedules are distinct store scenarios: the slug
-    # carries the schedule name (default-schedule slugs stay bare).
-    assert "quick-seed0-aatb-paper_box-min-interference" in listed
-
-
 def test_cli_rejects_unknown_expressions_option(tmp_path, capsys):
     with pytest.raises(SystemExit) as excinfo:
         runner_main(

@@ -487,7 +487,7 @@ def test_http_stats_schema_end_to_end(engine):
         assert isinstance(codegen[counter], int)
 
     scheduler = stats["scheduler"]
-    for counter in ("plans_scheduled", "fused_adds", "plans_reordered"):
+    for counter in ("plans_scheduled", "fused_adds", "inplace_reuses"):
         assert isinstance(scheduler[counter], int)
 
     ablation = stats["ablation"]
