@@ -37,17 +37,14 @@ def test_noise_flips_borderline_classifications(run_once, fig_config):
     algorithms = expression.algorithms()
 
     def classify_all(backend, instances):
-        return [
-            verdict.is_anomaly
-            for verdict in classify_batch(
-                evaluate_instances(backend, algorithms, instances),
-                threshold=0.10,
-            )
-        ]
+        return classify_batch(
+            evaluate_instances(backend, algorithms, instances),
+            threshold=0.10,
+        ).is_anomaly.tolist()
 
     def run():
         rng = random.Random(fig_config.seed)
-        instances = [box.sample(rng) for _ in range(n)]
+        instances = box.sample_many(rng, n)
         truth = classify_all(_backend(0.0, fig_config.seed), instances)
         flips = {}
         for sigma in SIGMAS:

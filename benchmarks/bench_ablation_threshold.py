@@ -26,12 +26,11 @@ def test_abundance_vs_threshold(run_once, fig_config):
     def run():
         rng = random.Random(fig_config.seed)
         algorithms = expression.algorithms()
-        instances = [box.sample(rng) for _ in range(n)]
-        verdicts = classify_batch(
+        instances = box.sample_many(rng, n)
+        scores = classify_batch(
             evaluate_instances(backend, algorithms, instances),
             threshold=0.0,
-        )
-        scores = [verdict.time_score for verdict in verdicts]
+        ).time_scores.tolist()
         return {
             thr: sum(1 for s in scores if s > thr) / len(scores)
             for thr in THRESHOLDS

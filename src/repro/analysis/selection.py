@@ -18,7 +18,7 @@ import numpy as np
 from repro.backends.base import Backend
 from repro.core.classify import evaluate_instances
 from repro.core.discriminants import Discriminant
-from repro.core.searchspace import Box
+from repro.core.searchspace import Box, check_widths
 from repro.expressions.base import Expression
 
 
@@ -54,6 +54,7 @@ def selection_quality(
     threshold: float = 0.10,
     seed: int = 0,
 ) -> SelectionQuality:
+    check_widths(expression, box)
     if n_instances < 1:
         raise ValueError("n_instances must be positive")
     rng = random.Random(seed)
@@ -62,7 +63,7 @@ def selection_quality(
     total_regret = 0.0
     worst_regret = -1.0
     worst_instance: Optional[Tuple[int, ...]] = None
-    instances = [box.sample(rng) for _ in range(n_instances)]
+    instances = box.sample_many(rng, n_instances)
     choices = discriminant.select_batch(algorithms, instances)
     batch = evaluate_instances(backend, algorithms, instances)
     t_chosen_all = batch.seconds[np.arange(len(instances)), choices]

@@ -10,11 +10,12 @@ measured-fastest there.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Sequence, Tuple
+from itertools import compress
+from typing import FrozenSet, Optional, Sequence, Tuple
 
 from repro.backends.base import Backend
 from repro.core.classify import classify_batch, evaluate_instances
-from repro.core.searchspace import Box
+from repro.core.searchspace import Box, check_widths
 from repro.expressions.base import Expression
 
 
@@ -67,6 +68,7 @@ def trace_line(
 ) -> LineTraces:
     """Trace all algorithms along ``dim`` through ``origin``."""
     origin = tuple(int(v) for v in origin)
+    check_widths(expression, box, (origin,))
     if not 0 <= dim < expression.n_dims:
         raise ValueError(f"dim {dim} out of range")
     if not box.contains(origin):
@@ -80,8 +82,6 @@ def trace_line(
         }
     )
     algorithms = expression.algorithms()
-    anomalous: set = set()
-    per_algorithm: List[List[TracePoint]] = [[] for _ in algorithms]
     instances = [
         tuple(position if i == dim else v for i, v in enumerate(origin))
         for position in positions
@@ -89,34 +89,36 @@ def trace_line(
     batch = evaluate_instances(backend, algorithms, instances)
     verdicts = classify_batch(batch, threshold=threshold)
     peak = backend.peak_flops
-    for row, (position, verdict) in enumerate(zip(positions, verdicts)):
-        if verdict.is_anomaly:
-            anomalous.add(position)
-        evaluation = batch.evaluation(row)
-        cheapest = set(evaluation.cheapest_indices())
-        fastest = set(evaluation.fastest_indices())
-        for i in range(len(algorithms)):
-            seconds = evaluation.seconds[i]
-            flops = evaluation.flops[i]
-            per_algorithm[i].append(
-                TracePoint(
-                    position=position,
-                    total_efficiency=flops / (seconds * peak),
-                    seconds=seconds,
-                    flops=flops,
-                    is_cheapest=i in cheapest,
-                    is_fastest=i in fastest,
-                )
+    traces = []
+    for i, algorithm in enumerate(algorithms):
+        points = (
+            TracePoint(
+                position=position,
+                total_efficiency=flops / (seconds * peak),
+                seconds=seconds,
+                flops=flops,
+                is_cheapest=is_cheapest,
+                is_fastest=is_fastest,
             )
+            for position, seconds, flops, is_cheapest, is_fastest in zip(
+                positions,
+                batch.seconds[:, i].tolist(),
+                batch.flops[:, i].tolist(),
+                verdicts.cheapest[:, i].tolist(),
+                verdicts.fastest[:, i].tolist(),
+            )
+        )
+        traces.append(
+            AlgorithmTrace(algorithm_name=algorithm.name, points=tuple(points))
+        )
     return LineTraces(
         expression=expression.name,
         origin=origin,
         dim=dim,
         threshold=threshold,
         positions=tuple(positions),
-        anomalous_positions=frozenset(anomalous),
-        traces=tuple(
-            AlgorithmTrace(algorithm_name=a.name, points=tuple(pts))
-            for a, pts in zip(algorithms, per_algorithm)
+        anomalous_positions=frozenset(
+            compress(positions, verdicts.is_anomaly.tolist())
         ),
+        traces=tuple(traces),
     )

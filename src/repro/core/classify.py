@@ -21,7 +21,9 @@ the backends' batch API and apply the rule above with row-wise array
 arithmetic.  Every operation is either exact (integer mins, masked
 selections, comparisons of values below 2**53) or the elementwise
 float64 op the scalar path performs, so a batched verdict equals the
-scalar verdict bit for bit.
+scalar verdict bit for bit.  Batch verdicts stay columns
+(:class:`BatchVerdicts`): a row becomes a :class:`Verdict` only when
+indexed, so callers reading columns never build one.
 """
 
 from __future__ import annotations
@@ -84,6 +86,39 @@ class Verdict:
     threshold: float
     cheapest: Tuple[str, ...]
     fastest: Tuple[str, ...]
+
+
+@dataclass(frozen=True, eq=False)
+class BatchVerdicts:
+    """The §3.3 classification of every row of a batch, as columns.
+
+    ``is_anomaly``, ``time_scores`` and ``flop_scores`` have shape
+    ``(n,)``; ``cheapest`` and ``fastest`` are ``(n, A)`` bool masks
+    over ``algorithm_names``.  ``self[i]`` is row ``i`` as the scalar
+    :class:`Verdict`, built on demand.
+    """
+
+    is_anomaly: np.ndarray
+    time_scores: np.ndarray
+    flop_scores: np.ndarray
+    cheapest: np.ndarray
+    fastest: np.ndarray
+    algorithm_names: Tuple[str, ...]
+    threshold: float
+
+    def __len__(self) -> int:
+        return self.is_anomaly.shape[0]
+
+    def __getitem__(self, i: int) -> Verdict:
+        names = self.algorithm_names
+        return Verdict(
+            is_anomaly=bool(self.is_anomaly[i]),
+            time_score=float(self.time_scores[i]),
+            flop_score=float(self.flop_scores[i]),
+            threshold=self.threshold,
+            cheapest=tuple(names[j] for j in np.flatnonzero(self.cheapest[i])),
+            fastest=tuple(names[j] for j in np.flatnonzero(self.fastest[i])),
+        )
 
 
 def evaluate_instance(
@@ -253,7 +288,7 @@ def evaluate_instances(
 
 def classify_batch(
     batch: BatchEvaluation, threshold: float = 0.10
-) -> Tuple[Verdict, ...]:
+) -> BatchVerdicts:
     """Apply the paper's anomaly rule to every row of a batch."""
     if threshold < 0:
         raise ValueError("threshold must be non-negative")
@@ -269,42 +304,12 @@ def classify_batch(
         flop_scores = np.where(
             f_fastest != 0, 1.0 - f_min / f_fastest, 0.0
         )
-    anomalies = time_scores > threshold
-    names = batch.algorithm_names
-
-    # The same cheapest/fastest membership patterns recur across most
-    # rows of a batch; intern the name tuples by mask bit-pattern.
-    # One ``tobytes`` per whole mask matrix (bool = 1 byte, C order)
-    # and per-row byte slices as cache keys — no per-row numpy calls
-    # on the hit path, and cheap/fast rows share one cache since the
-    # key width is the same.
-    width = len(names)
-    cheap_bytes = cheap_mask.tobytes()
-    fast_bytes = fast_mask.tobytes()
-    name_cache: dict = {}
-
-    def names_for(buffer: bytes, i: int, mask: np.ndarray) -> Tuple[str, ...]:
-        key = buffer[i * width:(i + 1) * width]
-        got = name_cache.get(key)
-        if got is None:
-            got = tuple(names[j] for j in np.nonzero(mask[i])[0])
-            name_cache[key] = got
-        return got
-
-    return tuple(
-        Verdict(
-            is_anomaly=is_anomaly,
-            time_score=time_score,
-            flop_score=flop_score,
-            threshold=threshold,
-            cheapest=names_for(cheap_bytes, i, cheap_mask),
-            fastest=names_for(fast_bytes, i, fast_mask),
-        )
-        for i, (is_anomaly, time_score, flop_score) in enumerate(
-            zip(
-                anomalies.tolist(),
-                time_scores.tolist(),
-                flop_scores.tolist(),
-            )
-        )
+    return BatchVerdicts(
+        is_anomaly=time_scores > threshold,
+        time_scores=time_scores,
+        flop_scores=flop_scores,
+        cheapest=cheap_mask,
+        fastest=fast_mask,
+        algorithm_names=batch.algorithm_names,
+        threshold=threshold,
     )

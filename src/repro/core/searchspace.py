@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
+
+from repro.expressions.base import Expression
 
 PAPER_LOW = 20
 PAPER_HIGH = 1200
@@ -44,9 +46,30 @@ class Box:
 
     def sample(self, rng: random.Random) -> Tuple[int, ...]:
         """One uniform sample; deterministic given the caller's rng."""
-        return tuple(
-            rng.randint(lo, hi) for lo, hi in zip(self.lows, self.highs)
-        )
+        return self.sample_many(rng, 1)[0]
+
+    def sample_many(
+        self, rng: random.Random, count: int
+    ) -> List[Tuple[int, ...]]:
+        """``count`` samples, each axis drawn exactly as ``rng.randint``.
+
+        The loop inlines ``randint``'s rejection: ``getrandbits(k)``,
+        ``k = width.bit_length()``, until the draw is below the width,
+        so the rng makes the same calls and ends in the same state.
+        """
+        getrandbits = rng.getrandbits
+        widths = [hi - lo + 1 for lo, hi in zip(self.lows, self.highs)]
+        axes = [(lo, w, w.bit_length()) for lo, w in zip(self.lows, widths)]
+        samples = []
+        for _ in range(count):
+            row = []
+            for lo, width, k in axes:
+                r = getrandbits(k)
+                while r >= width:
+                    r = getrandbits(k)
+                row.append(lo + r)
+            samples.append(tuple(row))
+        return samples
 
     def contains(self, instance: Sequence[int]) -> bool:
         return len(instance) == self.n_dims and all(
@@ -62,6 +85,20 @@ class Box:
 
     def span(self, dim: int) -> int:
         return self.highs[dim] - self.lows[dim]
+
+
+def check_widths(
+    expression: Expression, box: Box, origins: Sequence[Sequence[int]] = ()
+) -> None:
+    """Refuse a box or origin whose width is not the expression's."""
+    n = expression.n_dims
+    if box.n_dims != n:
+        raise ValueError(f"{expression.name} needs a {n}-dim box")
+    for origin in origins:
+        if len(origin) != n:
+            raise ValueError(
+                f"{expression.name} needs {n}-dim origins, got {origin}"
+            )
 
 
 def paper_box(n_dims: int) -> Box:

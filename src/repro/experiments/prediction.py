@@ -70,10 +70,14 @@ def predict_from_benchmarks(
             PredictionRecord(
                 instance=cell.instance,
                 actual_anomaly=cell.is_anomaly,
-                predicted_anomaly=verdict.is_anomaly,
+                predicted_anomaly=predicted_anomaly,
                 actual_score=cell.time_score,
-                predicted_score=verdict.time_score,
+                predicted_score=predicted_score,
             )
-            for cell, verdict in zip(regions.cells, verdicts)
+            for cell, predicted_anomaly, predicted_score in zip(
+                regions.cells,
+                verdicts.is_anomaly.tolist(),
+                verdicts.time_scores.tolist(),
+            )
         ),
     )

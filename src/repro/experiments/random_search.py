@@ -6,11 +6,12 @@ sample budget is reached.  Abundance is anomalies per sample drawn.
 
 Sampling proceeds in batches: a chunk of instances is drawn (in the
 same rng order a point-by-point loop would use), evaluated through the
-backend's batch API in one call, and the verdicts scanned in draw
-order — so results are identical for every ``batch_size``, including
-the degenerate scalar loop ``batch_size=1``.  When a target anomaly
-count is hit mid-chunk the scan stops exactly where the scalar loop
-would have, and the surplus evaluations only warm the backend memo.
+backend's batch API in one call and classified as columns; only its
+anomalous rows, in draw order, become :class:`Anomaly` records — so
+results are identical for every ``batch_size``, including the scalar
+loop ``batch_size=1``.  When a target anomaly count is hit mid-chunk
+the scan stops exactly where the scalar loop would have, and the
+surplus evaluations only warm the backend memo.
 """
 
 from __future__ import annotations
@@ -19,9 +20,11 @@ import random
 from dataclasses import dataclass
 from typing import List, Tuple
 
+import numpy as np
+
 from repro.backends.base import Backend
 from repro.core.classify import Verdict, classify_batch, evaluate_instances
-from repro.core.searchspace import Box
+from repro.core.searchspace import Box, check_widths
 from repro.expressions.base import Expression
 
 #: Chunk size balancing vectorization width against overshoot past a
@@ -66,10 +69,7 @@ def random_search(
     seed: int = 0,
     batch_size: int | None = None,
 ) -> SearchResult:
-    if box.n_dims != expression.n_dims:
-        raise ValueError(
-            f"{expression.name} needs a {expression.n_dims}-dim box"
-        )
+    check_widths(expression, box)
     if max_samples < 1:
         raise ValueError("max_samples must be positive")
     if batch_size is None:
@@ -83,21 +83,18 @@ def random_search(
     done = target_anomalies is not None and target_anomalies <= 0
     while not done and n_samples < max_samples:
         chunk = min(batch_size, max_samples - n_samples)
-        instances = [box.sample(rng) for _ in range(chunk)]
+        instances = box.sample_many(rng, chunk)
         verdicts = classify_batch(
             evaluate_instances(backend, algorithms, instances),
             threshold=threshold,
         )
-        for instance, verdict in zip(instances, verdicts):
-            n_samples += 1
-            if verdict.is_anomaly:
-                anomalies.append(Anomaly(instance=instance, verdict=verdict))
-                if (
-                    target_anomalies is not None
-                    and len(anomalies) >= target_anomalies
-                ):
-                    done = True
-                    break
+        for i in np.flatnonzero(verdicts.is_anomaly).tolist():
+            anomalies.append(Anomaly(instances[i], verdicts[i]))
+            if len(anomalies) == target_anomalies:
+                # The scalar loop stops here: later rows are not samples.
+                chunk, done = i + 1, True
+                break
+        n_samples += chunk
     return SearchResult(
         expression=expression.name,
         threshold=threshold,

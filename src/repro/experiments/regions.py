@@ -6,15 +6,16 @@ hole-tolerance rule (§3.4.2) keeps walking through up to
 ``hole_tolerance`` consecutive non-anomalous samples so measurement
 noise near the 5% threshold does not truncate a region.
 
-Each directed walk is a *ray* — the step positions from the origin
-toward the box face — evaluated in batched rounds: every round sends
-the next ``RAY_CHUNK`` steps of every still-live ray through the
-backend as one call, and holes are resolved post hoc: the verdicts
-are scanned in step order and the walk "stops" at exactly the
-position the step-by-step loop would have stopped at.  Up to a chunk
-of positions past the stop were still evaluated (they warm the
-backend's memo) but are not recorded as cells, so the result is
-identical to the scalar traversal.
+Each directed walk is a *ray* — an int64 array of the step positions
+from the origin toward the box face — evaluated in batched rounds:
+every round stacks the next ``RAY_CHUNK`` steps of every still-live
+ray into one instance matrix (the origin tiled, the walked column
+set) and sends it through the backend as one call.  Each ray scans
+its chunk's anomaly column in step order and keeps the verdicts up to
+exactly the step where the step-by-step loop would have stopped; the
+positions past the stop were still evaluated (they warm the backend's
+memo) but are not recorded as cells, so the result is identical to
+the scalar traversal.
 
 The traversal yields, per region and dimension, the *extent* (the
 interval between extreme anomalous positions — its length is the
@@ -31,9 +32,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from repro.backends.base import Backend
-from repro.core.classify import Verdict, classify_batch, evaluate_instances
-from repro.core.searchspace import Box
+from repro.core.classify import classify_batch, evaluate_instances
+from repro.core.searchspace import Box, check_widths
 from repro.expressions.base import Expression
 
 DEFAULT_STEP = 16
@@ -100,15 +103,15 @@ class _CellRecorder:
         self.cells: List[RegionCell] = []
         self._seen: Set[Tuple[int, ...]] = set()
 
-    def record(self, instance: Tuple[int, ...], verdict: Verdict) -> None:
+    def record(
+        self, instance: Tuple[int, ...], is_anomaly: bool, time_score: float
+    ) -> None:
         if instance in self._seen:
             return
         self._seen.add(instance)
         self.cells.append(
             RegionCell(
-                instance=instance,
-                time_score=verdict.time_score,
-                is_anomaly=verdict.is_anomaly,
+                instance=instance, time_score=time_score, is_anomaly=is_anomaly
             )
         )
 
@@ -124,67 +127,58 @@ class _Ray:
         self.origin = origin
         self.dim = dim
         self.hole_tolerance = hole_tolerance
-        positions: List[int] = []
-        position = origin[dim]
-        while True:
-            position += direction * step
-            if not box.lows[dim] <= position <= box.highs[dim]:
-                break
-            positions.append(position)
-        self.positions = tuple(positions)
-        self.verdicts: List[Verdict] = []
-        self._holes = 0
-        self._stopped = not positions
-
-    def instance_at(self, index: int) -> Tuple[int, ...]:
-        return tuple(
-            self.positions[index] if i == self.dim else v
-            for i, v in enumerate(self.origin)
+        # The walk ends at the first position outside the box, so a
+        # first step outside it walks nothing.
+        first = origin[dim] + direction * step
+        face = box.highs[dim] if direction > 0 else box.lows[dim]
+        inside = box.lows[dim] <= first <= box.highs[dim]
+        count = (face - origin[dim]) * direction // step if inside else 0
+        self.positions = first + direction * step * np.arange(
+            count, dtype=np.int64
         )
+        self.evaluated = 0
+        #: ``(is_anomaly, time_score)`` of each walked step, up to the
+        #: step where the hole tolerance is exceeded.
+        self.verdicts: List[Tuple[bool, float]] = []
+        self._holes = 0
+        self._stopped = False
 
-    def next_chunk(self) -> List[Tuple[int, ...]]:
-        """The instances of the next unevaluated chunk; [] when done."""
-        if self._stopped:
-            return []
-        start = len(self.verdicts)
-        return [
-            self.instance_at(i)
-            for i in range(start, min(start + RAY_CHUNK, len(self.positions)))
-        ]
+    @property
+    def live(self) -> bool:
+        return not self._stopped and self.evaluated < len(self.positions)
 
-    def absorb(self, verdicts: Sequence[Verdict]) -> None:
-        """Take one chunk's verdicts and advance the hole-rule scan."""
-        for verdict in verdicts:
-            self.verdicts.append(verdict)
-            if verdict.is_anomaly:
-                self._holes = 0
-            elif not self._stopped:
-                self._holes += 1
-                if self._holes > self.hole_tolerance:
-                    self._stopped = True
-        if len(self.verdicts) == len(self.positions):
-            self._stopped = True
+    def next_chunk(self) -> np.ndarray:
+        """The ``(m, n_dims)`` instances of the next unevaluated chunk."""
+        walked = self.positions[self.evaluated:self.evaluated + RAY_CHUNK]
+        self.evaluated += len(walked)
+        chunk = np.tile(
+            np.asarray(self.origin, dtype=np.int64), (len(walked), 1)
+        )
+        chunk[:, self.dim] = walked
+        return chunk
 
-    def resolve(
-        self, hole_tolerance: int, recorder: _CellRecorder
-    ) -> int:
-        """Scan the evaluated prefix; return the extreme anomalous position.
+    def absorb(self, verdicts: List[Tuple[bool, float]]) -> None:
+        """Keep one chunk's verdicts up to the step where the hole
+        tolerance is exceeded, where a step-by-step walk stops."""
+        for index, (is_anomaly, _) in enumerate(verdicts):
+            self._holes = 0 if is_anomaly else self._holes + 1
+            if self._holes > self.hole_tolerance:
+                verdicts = verdicts[:index + 1]
+                self._stopped = True
+                break
+        self.verdicts += verdicts
 
-        Applies the hole rule post hoc: cells are recorded in step
-        order up to (and including) the step where the tolerance is
-        exceeded, exactly where a step-by-step walk would stop.
-        """
+    def resolve(self, recorder: _CellRecorder) -> int:
+        """Record the kept steps as cells, in step order; return the
+        extreme anomalous position (the origin's if there is none)."""
+        head, tail = self.origin[:self.dim], self.origin[self.dim + 1:]
         extreme = self.origin[self.dim]
-        holes = 0
-        for index, verdict in enumerate(self.verdicts):
-            recorder.record(self.instance_at(index), verdict)
-            if verdict.is_anomaly:
-                extreme = self.positions[index]
-                holes = 0
-            else:
-                holes += 1
-                if holes > hole_tolerance:
-                    break
+        for position, (is_anomaly, score) in zip(
+            self.positions.tolist(), self.verdicts
+        ):
+            recorder.record(head + (position,) + tail, is_anomaly, score)
+            if is_anomaly:
+                extreme = position
         return extreme
 
 
@@ -198,6 +192,8 @@ def explore_regions(
     step: int = DEFAULT_STEP,
     hole_tolerance: int = DEFAULT_HOLE_TOLERANCE,
 ) -> Regions:
+    normalized = [tuple(int(v) for v in origin) for origin in origins]
+    check_widths(expression, box, normalized)
     if step < 1:
         raise ValueError("step must be positive")
     traversal_dims = tuple(dims) if dims is not None else tuple(
@@ -207,13 +203,15 @@ def explore_regions(
         if not 0 <= dim < expression.n_dims:
             raise ValueError(f"dim {dim} out of range")
     algorithms = expression.algorithms()
-    normalized = [tuple(int(v) for v in origin) for origin in origins]
     recorder = _CellRecorder()
-    origin_verdicts: Tuple[Verdict, ...] = ()
+    origin_verdicts: List[Tuple[bool, float]] = []
     if normalized:
-        origin_verdicts = classify_batch(
+        verdicts = classify_batch(
             evaluate_instances(backend, algorithms, normalized),
             threshold=threshold,
+        )
+        origin_verdicts = list(
+            zip(verdicts.is_anomaly.tolist(), verdicts.time_scores.tolist())
         )
     # Trace every walk of every anomalous region, then evaluate the
     # rays in rounds: each round batches the next RAY_CHUNK steps of
@@ -222,46 +220,41 @@ def explore_regions(
     # and stateless noise make the grouping invisible in the results —
     # only in the wall time.
     rays: Dict[Tuple[int, int, int], _Ray] = {}
-    for region_index, (origin, verdict) in enumerate(
+    for region_index, (origin, (is_anomaly, _)) in enumerate(
         zip(normalized, origin_verdicts)
     ):
-        if verdict.is_anomaly:
+        if is_anomaly:
             for dim in traversal_dims:
                 for direction in (-1, +1):
                     rays[(region_index, dim, direction)] = _Ray(
                         origin, dim, box, step, direction, hole_tolerance
                     )
     while True:
-        chunks = [(ray, ray.next_chunk()) for ray in rays.values()]
-        chunks = [(ray, chunk) for ray, chunk in chunks if chunk]
-        if not chunks:
+        live = [ray for ray in rays.values() if ray.live]
+        if not live:
             break
-        flat_verdicts = classify_batch(
-            evaluate_instances(
-                backend,
-                algorithms,
-                [instance for _, chunk in chunks for instance in chunk],
-            ),
+        chunks = [ray.next_chunk() for ray in live]
+        verdicts = classify_batch(
+            evaluate_instances(backend, algorithms, np.concatenate(chunks)),
             threshold=threshold,
         )
+        pairs = list(
+            zip(verdicts.is_anomaly.tolist(), verdicts.time_scores.tolist())
+        )
         offset = 0
-        for ray, chunk in chunks:
-            ray.absorb(flat_verdicts[offset:offset + len(chunk)])
+        for ray, chunk in zip(live, chunks):
+            ray.absorb(pairs[offset:offset + len(chunk)])
             offset += len(chunk)
     regions: List[Region] = []
-    for region_index, (origin, verdict) in enumerate(
+    for region_index, (origin, (is_anomaly, score)) in enumerate(
         zip(normalized, origin_verdicts)
     ):
-        recorder.record(origin, verdict)
+        recorder.record(origin, is_anomaly, score)
         extents: Dict[int, DimExtent] = {}
-        if verdict.is_anomaly:
+        if is_anomaly:
             for dim in traversal_dims:
-                lo = rays[(region_index, dim, -1)].resolve(
-                    hole_tolerance, recorder
-                )
-                hi = rays[(region_index, dim, +1)].resolve(
-                    hole_tolerance, recorder
-                )
+                lo = rays[(region_index, dim, -1)].resolve(recorder)
+                hi = rays[(region_index, dim, +1)].resolve(recorder)
                 extents[dim] = DimExtent(dim=dim, lo=lo, hi=hi)
         regions.append(Region(origin=origin, extents=extents))
     return Regions(

@@ -20,7 +20,7 @@ from repro.core.classify import (
     evaluate_instance,
     evaluate_instances,
 )
-from repro.core.searchspace import paper_box
+from repro.core.searchspace import Box, paper_box
 from repro.experiments.prediction import predict_from_benchmarks
 from repro.experiments.random_search import random_search
 from repro.experiments.regions import (
@@ -163,12 +163,17 @@ def test_classify_batch_matches_scalar(preset, seed, aatb):
     batch = evaluate_instances(batch_backend, algorithms, instances)
     for threshold in (0.05, 0.10):
         batched = classify_batch(batch, threshold=threshold)
+        scalar = []
         for i, instance in enumerate(instances):
             evaluation = evaluate_instance(
                 scalar_backend, algorithms, instance
             )
             assert batch.evaluation(i) == evaluation
             assert batched[i] == classify(evaluation, threshold=threshold)
+            scalar.append(classify(evaluation, threshold=threshold))
+        assert len(batched) == len(instances)
+        assert list(batched) == scalar
+        assert batched[-1] == scalar[-1]
 
 
 # ----------------------------------------------------------------------
@@ -286,6 +291,42 @@ def test_explore_regions_matches_scalar_reference(preset, seed, aatb):
     )
     reference = _reference_explore_regions(
         SimulatedBackend(PRESETS[preset](seed=seed)), aatb, origins, **kwargs
+    )
+    assert batched == reference
+
+
+#: Origins on a face of ``FACE_BOX``, one step (7, 16 or 48) inside a
+#: face, and outside the box on one or more axes.
+FACE_ORIGINS = [
+    (20, 300, 300),
+    (20, 1100, 20),
+    (27, 20, 1200),
+    (36, 1084, 1152),
+    (92, 1095, 323),
+    (5, 300, 300),
+    (5, 1100, 5),
+    (92, 1095, 1300),
+    (1300, 40, 1250),
+]
+FACE_BOX = Box((20, 20, 20), (1200, 1100, 1200))
+
+
+@pytest.mark.parametrize("dims", [(0,), (0, 1, 2)], ids=["dim0", "all"])
+@pytest.mark.parametrize("step", [7, 16, 48, 1180])
+def test_explore_regions_matches_scalar_reference_at_box_faces(
+    step, dims, aatb
+):
+    # Steps 7, 16 and 48 divide neither span (1180, 1080); 1180 takes
+    # a walk from one face to the other in one step.  Threshold 0
+    # lets the rays walk far, so walks end at every kind of face.
+    kwargs = dict(
+        box=FACE_BOX, threshold=0.0, dims=dims, step=step, hole_tolerance=2
+    )
+    batched = explore_regions(
+        SimulatedBackend(paper_machine(seed=0)), aatb, FACE_ORIGINS, **kwargs
+    )
+    reference = _reference_explore_regions(
+        SimulatedBackend(paper_machine(seed=0)), aatb, FACE_ORIGINS, **kwargs
     )
     assert batched == reference
 

@@ -3,8 +3,10 @@
 import pytest
 
 from repro.analysis.confusion import confusion_from_prediction
+from repro.analysis.selection import selection_quality
 from repro.analysis.traces import trace_line
 from repro.backends.simulated import SimulatedBackend
+from repro.core.discriminants import MinFlopsDiscriminant
 from repro.core.searchspace import Box, paper_box
 from repro.experiments.prediction import predict_from_benchmarks
 from repro.experiments.random_search import random_search
@@ -85,3 +87,26 @@ def test_trace_line_statuses_are_consistent(backend, aatb):
 def test_search_validates_box_dimensionality(backend, aatb):
     with pytest.raises(ValueError):
         random_search(backend, aatb, Box((20,) * 5, (30,) * 5))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda b, e: explore_regions(
+            b, e, [(92, 1095, 323, 7)], paper_box(4)
+        ),
+        lambda b, e: explore_regions(b, e, [(92, 1095, 323)], paper_box(2)),
+        lambda b, e: explore_regions(b, e, [(92, 1095)], paper_box(3)),
+        lambda b, e: trace_line(b, e, (92, 1095, 323, 70), 0, paper_box(4)),
+        lambda b, e: selection_quality(
+            MinFlopsDiscriminant(), b, e, paper_box(4), n_instances=5
+        ),
+    ],
+    ids=[
+        "regions-4dim", "regions-2dim-box", "regions-2dim-origin",
+        "trace-4dim", "selection-4dim",
+    ],
+)
+def test_entry_points_refuse_mismatched_widths(backend, aatb, call):
+    with pytest.raises(ValueError, match="aatb needs (a )?3-dim"):
+        call(backend, aatb)

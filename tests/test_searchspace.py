@@ -39,6 +39,30 @@ def test_samples_stay_inside_bounds():
         assert box.contains(sample)
 
 
+@pytest.mark.parametrize(
+    "box",
+    [
+        Box((7,), (7,)),
+        Box((1, 1, 1), (64, 65, 1024)),
+        Box((3, 5, 20), (3, 69, 1200)),
+        Box((1, 9), (2**40, 9 + 2**40)),
+    ],
+    ids=["degenerate", "pow2", "degenerate-axis", "2**40"],
+)
+def test_sample_many_matches_randint_reference(box):
+    for seed in range(20):
+        for count in (0, 1, 5, 37):
+            rng_a, rng_b = random.Random(seed), random.Random(seed)
+            assert box.sample_many(rng_a, count) == [
+                tuple(
+                    rng_b.randint(lo, hi)
+                    for lo, hi in zip(box.lows, box.highs)
+                )
+                for _ in range(count)
+            ]
+            assert rng_a.getstate() == rng_b.getstate()
+
+
 def test_clamp_and_contains():
     box = Box((10, 10), (20, 20))
     assert box.clamp((5, 25)) == (10, 20)
