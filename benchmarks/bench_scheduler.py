@@ -4,13 +4,18 @@ Two workloads, one aggregate gate:
 
 * **Measurement fusion** — ``MachineModel.measure_algorithms_batch``
   over every algorithm of five registered families at small
-  (25-instance) batches, one call per family as the simulated backend
-  makes it.  The machine (:meth:`repro.machine.machine.MachineModel._pass`)
-  draws the noise factors of all the family's call slots in one pass
-  and takes their median order statistics once; the baseline below,
-  :func:`_per_call_loop`, draws the noise and takes one ``np.median``
-  per call.  Results are bit-equal, because the median of positively
-  scaled factors is the scaled median factor, and asserted so below.
+  (25-instance) batches, one call per family.  It is the call-batch
+  adapter of the machine's one pass: the batches' distinct dims
+  columns become an instance matrix and each call a step over them,
+  so equal calls share a slot.  The pass
+  (:meth:`repro.machine.machine.MachineModel._pass`) computes each
+  slot's base seconds once, draws the noise factors of all the
+  family's calls at their run heads in one draw (random rows: every
+  row heads a run) and takes their median order statistics once; the
+  baseline below, :func:`_per_call_loop`, draws the noise and takes
+  one ``np.median`` per call.  Results are bit-equal, because the
+  median of positively scaled factors is the scaled median factor,
+  and asserted so below.
 
 * **Fused ADD execution** — an 8-leaf elementwise sum lowered by
   :func:`repro.expressions.compiler.compile_add_plans` and executed on

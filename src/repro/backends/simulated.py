@@ -25,11 +25,14 @@ The evaluation-batch methods (``time_algorithms_matrix``,
 expression at a whole batch of instances flows through the vectorized
 machine in one call, which measures the plans together.  An
 algorithm's kernel structure is instance-independent (only the dims
-vary), so its call sequence is built *once* per batch by the plan's
-generated builder, one gather of the instance columns into per-call
-``(n, arity)`` dims matrices.  The per-algorithm batch methods are
-one-column selections of the same path, and the scalar methods are
-those on one-row batches, so all of them share the same memo rows.
+vary), so the machine takes the missing instance rows and each plan's
+steps (kernel, instance columns, ``reads_previous``) as they are; it
+measures each distinct call once per run of rows whose columns it
+reads do not change.  The rows go over in batch order (fresh rows get
+ascending memo ids), which keeps a region ray's runs intact.  The
+per-algorithm batch methods are one-column selections of the same
+path, and the scalar methods are those on one-row batches, so all of
+them share the same memo rows.
 """
 
 from __future__ import annotations
@@ -186,17 +189,17 @@ class SimulatedBackend(Backend):
                 todo, first = np.unique(ids[rows], return_index=True)
                 sub = arr[rows[first]]
                 chosen = [algorithms[columns[r]] for r in lacking.tolist()]
-                plans = [a.kernel_call_batches(sub) for a in chosen]
+                plans = [a.codegen.plan.steps for a in chosen]
                 contexts = [a.name for a in chosen]
                 if column == _MEASURED:
                     predicted = np.empty((len(chosen), todo.size))
-                    measured = self.machine.measure_algorithms_batch(
-                        plans, contexts, predicted=predicted
+                    measured = self.machine.measure_plans_batch(
+                        sub, plans, contexts, predicted=predicted
                     )
                 else:
                     measured = None
-                    predicted = self.machine.predict_algorithms_batch(
-                        plans, contexts
+                    predicted = self.machine.predict_plans_batch(
+                        sub, plans, contexts
                     )
                 for i, r in enumerate(lacking.tolist()):
                     table = tables[r]

@@ -44,21 +44,38 @@ into batches cannot change a single bit of any result — the
 equivalence suite in ``tests/test_batch_equivalence.py`` pins this.
 
 The unit of algorithm measurement is the evaluation batch, not the
-plan: :meth:`MachineModel.measure_algorithms_batch` and
-:meth:`MachineModel.predict_algorithms_batch` time P plans over the
-same n rows in *passes*.  A pass covers consecutive plans up to
-:data:`_PASS_IDS` padded ``(call slot, row)`` ids, computes base
-seconds once per distinct ``(kernel, dims)`` slot, folds the
-measurement ids with one :func:`~repro.machine.noise.fold_columns`
-per kernel arity, and draws all its noise in one
-:meth:`MachineModel._median_factors`.  Noise is elementwise in the
-ids and base times and interference are elementwise in the dims, so
-each plan's row equals its one-plan measurement bit for bit; the
-one-plan methods are one-plan calls of the same pass.
+plan: :meth:`MachineModel.measure_plans_batch` and
+:meth:`MachineModel.predict_plans_batch` time P plans' steps (kernel,
+instance columns, ``reads_previous``) over an instance matrix.  A
+**slot** is a distinct ``(kernel, instance columns)`` call: sum4's 25
+plans make 150 calls over 20 slots.  A **run** is a maximal block of
+consecutive rows whose values in a slot's columns do not change; its
+first row is its head.  Along a region ray, every call that does not
+read the walked dim repeats the row above.  Rows are measured in
+blocks of at most ``_PASS_IDS // width`` rows (``width``: the widest
+plan's calls).  Per block, base seconds are computed once per slot
+at its run heads and interference once per (producer, consumer) slot
+pair at every row.  In a block, consecutive plans share one *pass*
+while its padded ``(call, row)`` ids fit in :data:`_PASS_IDS`; a pass
+folds each call's ids at its slot's run heads (one
+:func:`~repro.machine.noise.fold_columns` per kernel arity), draws
+them all in one :meth:`MachineModel._median_factors`, and gathers the
+scaled medians to the rows through the slot's run index.
+
+Gathering is exact: a call's id, base time and noise are functions of
+its dims (with its context, index and kernel), and every row of a run
+has its head's values in the slot's columns, so a gather copies the
+bits the row would compute.  Noise is elementwise in the ids, and
+base times and interference in the dims, so grouping plans into
+passes and rows into blocks changes no bit either.  The call-batch
+forms (``measure_algorithms_batch`` and the one-plan and scalar
+forms) are adapters: their instance matrix is the call batches'
+distinct dims columns side by side, one step per call.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -103,12 +120,13 @@ _KERNEL_TOKEN = {
 #: from every algorithm's stream, like a standalone benchmark run.
 _BENCH_CONTEXT = "kernel-benchmark"
 
-#: Most padded ``(call slot, row)`` measurement ids one pass of
-#: :meth:`MachineModel._algorithms_batch` covers.  A pass holds about
-#: a dozen 8-byte arrays of this length, so the bound caps its working
-#: set (a 4,958-row batch of sum4's 25 plans would otherwise hold
-#: 743,700 ids) while a 128-row batch of all 25 plans (19,200 ids)
-#: still shares one pass.
+#: Most padded ``(call, row)`` measurement ids one pass of
+#: :meth:`MachineModel._plans_batch` covers, and the most ids of the
+#: widest plan in one row block.  A pass holds about a dozen 8-byte
+#: arrays of this length and a block a few per slot, so the bound caps
+#: the working set (one pass over 20,000 rows of a 6-call sum4 plan
+#: would otherwise hold 120,000 ids) while a 128-row batch of all 25
+#: sum4 plans (19,200 ids) still shares one pass.
 _PASS_IDS = 32768
 
 #: Ids per block of the noise kernel: the block's repetition arrays
@@ -125,6 +143,101 @@ def _as_dims_matrix(kernel: KernelName, dims) -> np.ndarray:
             f"got shape {arr.shape!r}"
         )
     return arr
+
+
+#: A call as the machine pass reads it from a plan's steps.
+_Step = namedtuple("_Step", "kernel dims reads_previous")
+
+
+def _as_steps(plans: Sequence[Sequence[KernelCallBatch]]):
+    """``(instances, steps)`` of call batches, as the pass reads plans.
+
+    The instance matrix holds each distinct dims column of the call
+    batches once and each call is one step over its columns, so equal
+    calls share a slot, as an expression's steps do.
+    """
+    if not all(plans):
+        raise ValueError("algorithm batch needs at least one call")
+    n = plans[0][0].n if plans else 0
+    column_of: dict = {}
+    steps = []
+    for calls in plans:
+        steps.append([])
+        for call in calls:
+            if call.n != n:
+                raise ValueError(f"call batches span {call.n} and {n} rows")
+            dims = tuple(
+                column_of.setdefault(c.tobytes(), (len(column_of), c))[0]
+                for c in call.dims.T
+            )
+            steps[-1].append(_Step(call.kernel, dims, call.reads_previous))
+    instances = np.empty((n, len(column_of)), dtype=np.int64)
+    for j, column in column_of.values():
+        instances[:, j] = column
+    return instances, steps
+
+
+class _Block:
+    """What the passes over one row block share.
+
+    Per slot: its kernel, its dims and base seconds at its run heads,
+    and its run index (the run of each row, None when every row heads
+    one).  Per (producer, consumer) pair: the consumer's base seconds
+    with the producer's interference, at every row.
+    """
+
+    __slots__ = ("n", "kernels", "dims", "bases", "runs", "interfered")
+
+    def __init__(self, machine: "MachineModel", rows, slots, pairs) -> None:
+        self.n = rows.shape[0]
+        # changed[j, i]: column j differs between rows i and i + 1.  A
+        # slot reading a column that changes at every row has no runs.
+        changed = np.ascontiguousarray((rows[1:] != rows[:-1]).T)
+        always = changed.all(axis=1).tolist()
+        runs: dict = {}
+        paired = {slot for pair in pairs for slot in pair}
+        calls: dict = {}
+        self.kernels, self.dims, self.bases, self.runs = [], [], [], []
+        for slot, (kernel, columns) in enumerate(slots):
+            if columns not in runs:
+                runs[columns] = _runs(changed, always, columns)
+            head, run = runs[columns]
+            dims = rows[:, columns]
+            if slot in paired:
+                calls[slot] = KernelCallBatch(kernel, dims)
+            if head is not None:
+                dims = dims[head]
+            self.kernels.append(kernel)
+            self.dims.append(dims)
+            self.bases.append(machine.kernel_seconds_batch(kernel, dims))
+            self.runs.append(run)
+        self.interfered = []
+        for producer, consumer in pairs:
+            base, run = self.bases[consumer], self.runs[consumer]
+            penalty = machine.interference_penalty_batch(
+                calls[producer], calls[consumer]
+            )
+            self.interfered.append(
+                (base if run is None else base[run]) * (1.0 + penalty)
+            )
+
+
+def _runs(changed: np.ndarray, always, columns) -> tuple:
+    """``(head, run)`` of the slots reading ``columns`` in one block.
+
+    ``head`` marks the rows where a run starts; ``run`` is each row's
+    run.  Both are None when every row starts a run.
+    """
+    if any(always[column] for column in columns):
+        return None, None
+    head = np.empty(changed.shape[1] + 1, dtype=bool)
+    head[0] = True
+    np.copyto(head[1:], changed[columns[0]])
+    for column in columns[1:]:
+        np.logical_or(head[1:], changed[column], out=head[1:])
+    if np.count_nonzero(head) == head.size:
+        return None, None
+    return head, np.cumsum(head) - 1
 
 
 class MachineModel:
@@ -326,155 +439,150 @@ class MachineModel:
         """Median measured time of one isolated (flushed-cache) call."""
         return float(self.measure_kernel_batch(kernel, [tuple(dims)])[0])
 
-    @staticmethod
-    def _batch_rows(plans: Sequence[Sequence[KernelCallBatch]]) -> int:
-        """The n rows every call batch of ``plans`` spans."""
-        if not all(plans):
-            raise ValueError("algorithm batch needs at least one call")
-        return plans[0][0].n if plans else 0
-
-    def _algorithms_batch(
+    def measure_plans_batch(
         self,
-        plans: Sequence[Sequence[KernelCallBatch]],
+        instances,
+        plans: Sequence[Sequence],
         contexts: Sequence[str],
-        n: int,
+        predicted: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """``(P, n)`` median measured times of P plans over n instances.
+
+        ``instances`` is an ``(n, n_dims)`` int64 matrix.  ``plans[p]``
+        is one algorithm's steps, as ``Plan.steps`` holds them: each
+        has a ``kernel``, ``dims`` (instance columns) and
+        ``reads_previous``.  ``contexts[p]`` (typically the algorithm
+        name) is its noise stream.  ``predicted``, when given, is a
+        ``(P, n)`` float64 array that receives
+        :meth:`predict_plans_batch`'s result from the same noise draw.
+        """
+        measured = np.empty((len(plans), len(instances)))
+        self._plans_batch(instances, plans, contexts, measured, predicted)
+        return measured
+
+    def predict_plans_batch(
+        self, instances, plans: Sequence[Sequence], contexts: Sequence[str]
+    ) -> np.ndarray:
+        """``(P, n)`` sums of per-kernel times (see the measured form)."""
+        predicted = np.empty((len(plans), len(instances)))
+        self._plans_batch(instances, plans, contexts, None, predicted)
+        return predicted
+
+    def _plans_batch(
+        self,
+        instances,
+        plans: Sequence[Sequence],
+        contexts: Sequence[str],
         measured: Optional[np.ndarray],
         predicted: Optional[np.ndarray],
     ) -> None:
-        """Fill ``(P, n)`` measured and/or predicted totals of P plans.
-
-        Consecutive plans share one pass while the pass's padded
-        ``(slot, row)`` ids fit in :data:`_PASS_IDS`; a single wider
-        plan is a pass of its own.
-        """
-        if len(plans) != len(contexts):
+        """Fill ``(P, n)`` totals: see the module docstring."""
+        instances = np.asarray(instances, dtype=np.int64)
+        if instances.ndim != 2 or len(plans) != len(contexts):
             raise ValueError(
-                f"{len(plans)} plans but {len(contexts)} contexts"
+                f"need an (n, n_dims) matrix and a context per plan, got "
+                f"{instances.shape!r}, {len(plans)} plans, {len(contexts)}"
             )
-        start = 0
-        while start < len(plans):
-            stop, width = start + 1, len(plans[start])
-            while stop < len(plans):
-                wider = max(width, len(plans[stop]))
-                if wider * (stop + 1 - start) * n > _PASS_IDS:
-                    break
-                stop, width = stop + 1, wider
-            self._pass(
-                plans[start:stop],
-                contexts[start:stop],
-                n,
-                None if measured is None else measured[start:stop],
-                None if predicted is None else predicted[start:stop],
-            )
-            start = stop
+        interfere = measured is not None and self.cache_effects
+        slots: dict = {}
+        pairs: dict = {}
+        calls = []
+        for steps in plans:
+            if not steps:
+                raise ValueError("algorithm batch needs at least one call")
+            calls.append([])
+            for index, step in enumerate(steps):
+                slot = slots.setdefault((step.kernel, step.dims), len(slots))
+                pair = None
+                if interfere and index and step.reads_previous:
+                    previous = calls[-1][-1][0]
+                    pair = pairs.setdefault((previous, slot), len(pairs))
+                calls[-1].append((slot, pair))
+        for totals in (measured, predicted):
+            if totals is not None:
+                totals[...] = 0.0
+        block_rows = max(1, _PASS_IDS // max(map(len, calls), default=1))
+        for start in range(0, instances.shape[0], block_rows):
+            rows = slice(start, start + block_rows)
+            block = _Block(self, instances[rows], list(slots), list(pairs))
+            first = 0
+            while first < len(calls):
+                stop, width = first + 1, len(calls[first])
+                while stop < len(calls):
+                    wider = max(width, len(calls[stop]))
+                    if wider * (stop + 1 - first) * block.n > _PASS_IDS:
+                        break
+                    stop, width = stop + 1, wider
+                self._pass(
+                    calls[first:stop],
+                    contexts[first:stop],
+                    block,
+                    None if measured is None else measured[first:stop, rows],
+                    None if predicted is None else predicted[first:stop, rows],
+                )
+                first = stop
+            del block  # before the next block's arrays are built
 
     def _pass(
         self,
-        plans: Sequence[Sequence[KernelCallBatch]],
+        plans: Sequence[Sequence[Tuple[int, Optional[int]]]],
         contexts: Sequence[str],
-        n: int,
+        block: _Block,
         measured: Optional[np.ndarray],
         predicted: Optional[np.ndarray],
     ) -> None:
-        """One machine pass over a few plans: see :meth:`_algorithms_batch`.
+        """One pass over a few plans of one row block.
 
-        Every per-id array is laid out slot-major: call ``index`` of
-        plan ``p`` owns rows ``[k * n, (k + 1) * n)`` with
-        ``k = index * len(plans) + p``.  Slots past a plan's last call
-        keep a zero base time, so their scaled medians are 0.0 and
-        adding them leaves the plan's total unchanged.
-
-        - Base seconds are computed once per distinct ``(kernel,
-          dims)`` slot of the pass, and interference once per distinct
-          (producer slot, consumer slot) pair.
-        - The measurement ids come from one :func:`fold_columns` per
-          kernel arity, over every slot of that arity at once.
-        - One :meth:`_median_factors` covers all the pass's ids.  The
-          measured time adds each consumer's interference to its base
-          time; the prediction (isolated benchmarks) does not.  Both
-          use the same ids, so they share the one draw of noise.
+        ``plans[p]`` lists each call's ``(slot, pair)`` in call order.
+        Every call's ids are folded and drawn at its slot's run heads;
+        its scaled medians are gathered to the block's rows and added
+        to its plan's zeroed totals in call order (never a pairwise
+        ``np.sum``).  Only the measured time adds its pair's
+        interference to its base time; both share the one draw.
         """
-        count = len(plans)
-        width = max(len(calls) for calls in plans)
-        size = width * count * n
-        ids = np.zeros(size, dtype=np.uint64)
-        isolated = np.zeros(size)
-        penalty = None if measured is None else np.zeros(size)
-        # Noise-free values keyed by slot (kernel, dims bytes) or by
-        # (producer key, consumer key): equivalent plans share most.
-        bases: dict = {}
-        penalties: dict = {}
-        arity_slots: dict = {}
-        for p, (calls, context) in enumerate(zip(plans, contexts)):
+        groups: dict = {}
+        for p, (plan, context) in enumerate(zip(plans, contexts)):
             context_base = self._stream_base(context)
-            previous = previous_key = None
-            for index, call in enumerate(calls):
-                if call.n != n:
-                    raise ValueError(
-                        f"call batches span {call.n} and {n} rows"
-                    )
-                k = index * count + p
-                rows = slice(k * n, (k + 1) * n)
-                key = (call.kernel, call.dims.tobytes())
-                base = bases.get(key)
-                if base is None:
-                    base = bases[key] = self.kernel_seconds_batch(
-                        call.kernel, call.dims
-                    )
-                isolated[rows] = base
-                if (
-                    penalty is not None
-                    and previous is not None
-                    and call.reads_previous
-                ):
-                    pair = (previous_key, key)
-                    if pair not in penalties:
-                        penalties[pair] = self.interference_penalty_batch(
-                            previous, call
-                        )
-                    penalty[rows] = penalties[pair]
-                head = self._id_head(context_base, index, call.kernel)
-                slot_rows, heads, dims = arity_slots.setdefault(
-                    KERNEL_ARITY[call.kernel], ([], [], [])
+            for index, (slot, _) in enumerate(plan):
+                kernel = block.kernels[slot]
+                keys, heads, dims = groups.setdefault(
+                    KERNEL_ARITY[kernel], ([], [], [])
                 )
-                slot_rows.append(rows)
-                heads.append(head)
-                dims.append(call.dims)
-                previous, previous_key = call, key
-        for slot_rows, heads, dims in arity_slots.values():
-            folded = fold_columns(
-                np.repeat(np.array(heads, dtype=np.uint64), n),
-                np.concatenate(dims),
+                keys.append((p, index))
+                heads.append(self._id_head(context_base, index, kernel))
+                dims.append(block.dims[slot])
+        spans, folded, size = {}, [], 0
+        for keys, heads, dims in groups.values():
+            counts = [d.shape[0] for d in dims]
+            folded.append(
+                fold_columns(
+                    np.repeat(np.array(heads, dtype=np.uint64), counts),
+                    np.concatenate(dims),
+                )
             )
-            for j, rows in enumerate(slot_rows):
-                ids[rows] = folded[j * n:(j + 1) * n]
-        low, high = self._median_factors(ids)
-        if measured is not None:
-            interfered = isolated * (1.0 + penalty)
-            measured[...] = self._plan_totals(interfered, low, high, width, n)
-        if predicted is not None:
-            predicted[...] = self._plan_totals(isolated, low, high, width, n)
-
-    def _plan_totals(
-        self,
-        base: np.ndarray,
-        low: np.ndarray,
-        high: Optional[np.ndarray],
-        width: int,
-        n: int,
-    ) -> np.ndarray:
-        """``(P, n)``: each plan's sum of its calls' scaled medians.
-
-        ``base`` is a pass's slot-major per-id base time over ``width``
-        call slots (see :meth:`_pass`).
-        """
-        per_call = self._scaled_median(base, low, high).reshape(width, -1)
-        # Sequential per-call additions, never a pairwise np.sum
-        # (which would reorder the float additions for k >= 8).
-        total = np.zeros(per_call.shape[1])
-        for row in per_call:
-            total = total + row
-        return total.reshape(-1, n)
+            for key, count in zip(keys, counts):
+                spans[key] = slice(size, size + count)
+                size += count
+        low, high = self._median_factors(np.concatenate(folded))
+        for p, plan in enumerate(plans):
+            for index, (slot, pair) in enumerate(plan):
+                lo = low[spans[p, index]]
+                hi = None if high is None else high[spans[p, index]]
+                run = block.runs[slot]
+                isolated = self._scaled_median(block.bases[slot], lo, hi)
+                if run is not None:
+                    isolated = isolated[run]
+                if predicted is not None:
+                    predicted[p] += isolated
+                if measured is not None and pair is None:
+                    measured[p] += isolated
+                elif measured is not None:
+                    if run is not None:
+                        lo = lo[run]
+                        hi = None if hi is None else hi[run]
+                    measured[p] += self._scaled_median(
+                        block.interfered[pair], lo, hi
+                    )
 
     def measure_algorithms_batch(
         self,
@@ -484,22 +592,14 @@ class MachineModel:
     ) -> np.ndarray:
         """``(P, n)`` median measured times of P whole-algorithm runs.
 
-        ``plans[p]`` is one algorithm's call batches and
-        ``contexts[p]`` (typically the algorithm name) its noise
-        stream; every call batch spans the same n rows.  Row ``p``
-        equals :meth:`measure_algorithm_batch` of that one plan, bit
-        for bit: noise is elementwise in the measurement ids, base
-        times and interference are elementwise in the dims, and each
-        plan's total keeps its sequential per-call additions.
-
-        ``predicted``, when given, is a ``(P, n)`` float64 array that
-        receives :meth:`predict_algorithms_batch`'s result for the
-        same plans, computed from the same noise draw.
+        ``plans[p]`` is one algorithm's call batches, all spanning the
+        same n rows, measured as :meth:`measure_plans_batch` measures
+        steps; ``contexts`` and ``predicted`` are as there.
         """
-        n = self._batch_rows(plans)
-        measured = np.empty((len(plans), n))
-        self._algorithms_batch(plans, contexts, n, measured, predicted)
-        return measured
+        instances, steps = _as_steps(plans)
+        return self.measure_plans_batch(
+            instances, steps, contexts, predicted=predicted
+        )
 
     def predict_algorithms_batch(
         self,
@@ -507,10 +607,7 @@ class MachineModel:
         contexts: Sequence[str],
     ) -> np.ndarray:
         """``(P, n)`` sums of per-kernel times (see the single-plan form)."""
-        n = self._batch_rows(plans)
-        predicted = np.empty((len(plans), n))
-        self._algorithms_batch(plans, contexts, n, None, predicted)
-        return predicted
+        return self.predict_plans_batch(*_as_steps(plans), contexts)
 
     def measure_algorithm_batch(
         self,

@@ -296,7 +296,9 @@ def test_wide_batch_splits_into_bounded_passes(monkeypatch):
         (14 * 2 * 5, [2, 3, 2, 1]),
         (14 * 2 * 5 - 1, [1, 1, 3, 1, 2]),
         (14 * 3 * 5, [3, 3, 2]),
-        (1, [1] * 8),
+        # Five one-row blocks (1 // 14 rows, at least one) of 8
+        # one-plan passes each.
+        (1, [1] * 40),
         (14 * 8 * 5, [8]),
         (14 * 8 * 5 - 1, [7, 1]),
     ],
@@ -311,6 +313,54 @@ def test_pass_bound_counts_padded_ids(bound, want, monkeypatch):
     assert sizes == want * 2  # measure, then predict
 
 
+def _rays(n_dims: int, rays: int, steps: int, seed: int) -> np.ndarray:
+    """Rays stacked: each origin tiled, with one column walked.
+
+    Ray ``r`` walks column ``r % n_dims`` by ``steps`` distinct values,
+    the shape of the region traversal's batches.  Calls not reading
+    the walked column repeat the row above within a ray.
+    """
+    rng = np.random.default_rng(seed)
+    origins = rng.integers(5, 1400, size=(rays, n_dims))
+    rows = np.repeat(origins, steps, axis=0)
+    walked = np.repeat(np.arange(rays) % n_dims, steps)
+    rows[np.arange(rays * steps), walked] = np.tile(
+        5 + 23 * np.arange(steps), rays
+    )
+    return rows
+
+
+def _peak_over_outputs(arr, plans, entry):
+    """Traced peak of measuring ``arr`` with sum4's first ``plans``.
+
+    Returns ``(peak, outputs)``: ``outputs`` is the ``(P, n)``
+    predicted array the call fills.  ``entry`` is the call-batch
+    adapter (``"calls"``, ``measure_algorithms_batch``) or the steps
+    entry point (``"steps"``, ``measure_plans_batch``).
+    """
+    algorithms = get_expression("sum4").algorithms()[:plans]
+    names = [a.name for a in algorithms]
+    machine = paper_machine(seed=0)
+    predicted = np.empty((len(algorithms), arr.shape[0]))
+    if entry == "calls":
+        batches = [a.kernel_call_batches(arr) for a in algorithms]
+        measure = machine.measure_algorithms_batch
+        args = (batches, names)
+        measure(batches[:1], names[:1])  # warm caches
+    else:
+        steps = [a.codegen.plan.steps for a in algorithms]
+        measure = machine.measure_plans_batch
+        args = (arr, steps, names)
+        measure(arr, steps[:1], names[:1])  # warm caches
+    tracemalloc.start()
+    try:
+        measure(*args, predicted=predicted)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, predicted.nbytes
+
+
 def test_pass_memory_is_bounded_by_the_pass_constant():
     """A 5,000-row batch of sum4's 25 plans stays within a few passes.
 
@@ -323,20 +373,109 @@ def test_pass_memory_is_bounded_by_the_pass_constant():
     expression = get_expression("sum4")
     rng = np.random.default_rng(5)
     arr = rng.integers(5, 1400, size=(5000, expression.n_dims))
-    algorithms = expression.algorithms()
-    plans = [a.kernel_call_batches(arr) for a in algorithms]
-    names = [a.name for a in algorithms]
-    machine = paper_machine(seed=0)
-    predicted = np.empty((len(plans), arr.shape[0]))
-    machine.measure_algorithms_batch(plans[:1], names[:1])  # warm caches
-    tracemalloc.start()
-    try:
-        machine.measure_algorithms_batch(plans, names, predicted=predicted)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    outputs = predicted.nbytes
+    peak, outputs = _peak_over_outputs(arr, 25, "calls")
     assert peak < outputs + 32 * 8 * machine_module._PASS_IDS
+
+
+@pytest.mark.parametrize(
+    "shape, plans, entry",
+    [
+        ("random", 3, "calls"),
+        ("rays", 3, "calls"),
+        ("random", 25, "steps"),
+        ("rays", 25, "steps"),
+    ],
+)
+def test_wide_plan_memory_is_bounded_by_row_blocks(shape, plans, entry):
+    """The same bound holds for 20,000 rows, where one plan is wide.
+
+    One sum4 plan over 20,000 rows holds 6 x 20,000 = 120,000 padded
+    ids, more than ``_PASS_IDS``: only row blocks bound its pass.
+    """
+    expression = get_expression("sum4")
+    if shape == "random":
+        rng = np.random.default_rng(5)
+        arr = rng.integers(5, 1400, size=(20000, expression.n_dims))
+    else:
+        arr = _rays(expression.n_dims, 400, 50, seed=5)
+    peak, outputs = _peak_over_outputs(arr, plans, entry)
+    assert peak < outputs + 32 * 8 * machine_module._PASS_IDS
+
+
+def _run_batches(n_dims: int, seed: int):
+    """Batches whose rows repeat in some calls' columns, 48 rows at most."""
+    rng = np.random.default_rng(seed)
+    a, b, c = rng.integers(5, 1400, size=(3, n_dims))
+    b_one_column = a.copy()
+    b_one_column[0] = b[0]
+    return {
+        "rays": _rays(n_dims, 4, 12, seed),
+        "repeated-row": np.stack([a, b, b, c]),
+        "all-equal": np.tile(a, (6, 1)),
+        "one-row": a[None, :],
+        "alternating": np.tile(np.stack([a, b]), (4, 1)),
+        "alternating-one-column": np.tile(np.stack([a, b_one_column]), (4, 1)),
+    }
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("kind", NOISE_KINDS)
+def test_run_shaped_batches_match_the_per_call_reference(family, kind):
+    """Rows gathered from run heads equal their per-call reference.
+
+    The reference is rowwise, so one reference over every batch's
+    rows stacked serves them all; each batch is measured on its own,
+    through the steps entry point and the call-batch adapter.
+    """
+    expression = get_expression(family)
+    algorithms = expression.algorithms()
+    names = [a.name for a in algorithms]
+    steps = [a.codegen.plan.steps for a in algorithms]
+    batches = list(_run_batches(expression.n_dims, len(family)).values())
+    stacked = np.concatenate(batches)
+    calls = [a.kernel_call_batches(stacked) for a in algorithms]
+    bounds = np.cumsum([0] + [len(batch) for batch in batches])
+    for machine in _machines(kind):
+        want = [reference_totals(machine, c, n) for c, n in zip(calls, names)]
+        want_measured = np.array([m for m, _ in want])
+        want_predicted = np.array([q for _, q in want])
+        for batch, start, stop in zip(batches, bounds, bounds[1:]):
+            rows = slice(start, stop)
+            predicted = np.empty((len(algorithms), len(batch)))
+            measured = machine.measure_plans_batch(
+                batch, steps, names, predicted=predicted
+            )
+            assert np.array_equal(measured, want_measured[:, rows])
+            assert np.array_equal(predicted, want_predicted[:, rows])
+            assert np.array_equal(
+                machine.predict_plans_batch(batch, steps, names),
+                want_predicted[:, rows],
+            )
+            batch_calls = [a.kernel_call_batches(batch) for a in algorithms]
+            measured = machine.measure_algorithms_batch(
+                batch_calls, names, predicted=predicted
+            )
+            assert np.array_equal(measured, want_measured[:, rows])
+            assert np.array_equal(predicted, want_predicted[:, rows])
+
+
+def test_zero_row_batches_give_empty_totals():
+    expression = get_expression("chain4")
+    algorithms = expression.algorithms()
+    names = [a.name for a in algorithms]
+    arr = np.empty((0, expression.n_dims), dtype=np.int64)
+    machine = paper_machine(seed=0)
+    calls = [a.kernel_call_batches(arr) for a in algorithms]
+    steps = [a.codegen.plan.steps for a in algorithms]
+    predicted = np.empty((len(algorithms), 0))
+    for got in (
+        machine.measure_algorithms_batch(calls, names, predicted=predicted),
+        machine.predict_algorithms_batch(calls, names),
+        machine.measure_plans_batch(arr, steps, names, predicted=predicted),
+        machine.predict_plans_batch(arr, steps, names),
+    ):
+        assert got.shape == (len(algorithms), 0)
+    assert machine.measure_algorithm_batch(calls[0], names[0]).shape == (0,)
 
 
 @pytest.mark.parametrize("kind", NOISE_KINDS)
@@ -370,7 +509,7 @@ def test_kernel_medians_match_the_median_of_scaled_factors(kind):
 # ----------------------------------------------------------------------
 
 
-MEASURE, PREDICT = "measure_algorithms_batch", "predict_algorithms_batch"
+MEASURE, PREDICT = "measure_plans_batch", "predict_plans_batch"
 
 
 class _Counting:
@@ -381,10 +520,10 @@ class _Counting:
         self.plans = []
         original = getattr(machine, name)
 
-        def counted(plans, *args, **kwargs):
+        def counted(instances, plans, *args, **kwargs):
             self.plans.append(len(plans))
-            self.rows.append(plans[0][0].n)
-            return original(plans, *args, **kwargs)
+            self.rows.append(len(instances))
+            return original(instances, plans, *args, **kwargs)
 
         monkeypatch.setattr(machine, name, counted)
 
@@ -565,6 +704,41 @@ def test_duplicate_instances_are_computed_once(monkeypatch):
     assert np.array_equal(got[: len(instances)], got[len(instances):][::-1])
     assert np.array_equal(backend.time_algorithms(algorithm, doubled), got)
     assert measure.rows == [len(instances)]
+
+
+def test_ray_batches_draw_noise_only_at_run_heads(monkeypatch):
+    """The backend's ray batches draw one noise id per call and run.
+
+    A call's run heads are the rows where one of the instance columns
+    it reads changed (and the first row).  Without the run collapse
+    every call would draw an id at every row.
+    """
+    expression = get_expression("sum4")
+    algorithms = expression.algorithms()
+    arr = _rays(expression.n_dims, 8, 30, seed=3)
+    assert len(np.unique(arr, axis=0)) == len(arr)
+    drawn = []
+    original = MachineModel._median_factors
+
+    def counted(self, ids):
+        drawn.append(ids.shape[0])
+        return original(self, ids)
+
+    monkeypatch.setattr(MachineModel, "_median_factors", counted)
+    backend = SimulatedBackend(paper_machine(seed=2))
+    got = backend.time_algorithms_matrix(algorithms, arr)
+    ids = sum(drawn)
+    assert np.array_equal(got, _fresh_measurements(algorithms, arr, 2))
+    calls = heads = 0
+    for algorithm in algorithms:
+        for step in algorithm.codegen.plan.steps:
+            columns = arr[:, step.dims]
+            calls += 1
+            heads += 1 + np.count_nonzero(
+                (columns[1:] != columns[:-1]).any(axis=1)
+            )
+    assert ids == heads
+    assert heads < calls * len(arr)
 
 
 def test_memo_tables_grow_past_their_first_capacity():
