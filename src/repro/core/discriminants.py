@@ -26,6 +26,25 @@ from repro.expressions.base import Algorithm
 from repro.kernels.types import KernelName
 from repro.profiles.benchmark import Profile
 
+#: Most stacked rows one ``Profile.predict_batch`` call interpolates:
+#: a request's slots always share one call, while a 5,000-row batch of
+#: sum4's 20 GEMM slots makes four and holds ~5 MB, not ~15 MB.
+_STACKED_ROWS = 32768
+
+
+def _instance_matrix(algorithms: Sequence[Algorithm], instances) -> np.ndarray:
+    """``instances`` as an int64 matrix, refused unless as wide as the
+    algorithms' expression takes them."""
+    arr = np.asarray(instances, dtype=np.int64)
+    if algorithms and len(arr):
+        plan = algorithms[0].codegen.plan
+        if arr.ndim != 2 or arr.shape[1] != plan.n_dims:
+            raise ValueError(
+                f"{plan.expression} takes {plan.n_dims} dims per instance, "
+                f"got instances of shape {arr.shape}"
+            )
+    return arr
+
 
 class Discriminant:
     """Interface: pick the index of the algorithm to run."""
@@ -53,6 +72,7 @@ class MinFlopsDiscriminant(Discriminant):
     def select(
         self, algorithms: Sequence[Algorithm], instance: Sequence[int]
     ) -> int:
+        _instance_matrix(algorithms, [instance])
         flop_counts = [int(a.flops(instance)) for a in algorithms]
         return flop_counts.index(min(flop_counts))
 
@@ -63,7 +83,7 @@ class MinFlopsDiscriminant(Discriminant):
     ) -> List[int]:
         from repro.core.classify import batch_flops
 
-        arr = np.asarray(instances, dtype=np.int64)
+        arr = _instance_matrix(algorithms, instances)
         return np.argmin(batch_flops(algorithms, arr), axis=1).tolist()
 
 
@@ -84,31 +104,58 @@ class _ProfileMixin:
             total += profile.predict(call.dims)
         return total
 
+    def predicted_times_matrix(
+        self, algorithms: Sequence[Algorithm], instances_matrix
+    ) -> np.ndarray:
+        """``(n, A)`` profile-predicted times of every algorithm.
+
+        The plans' steps are interned into call slots, one per
+        distinct ``(kernel, instance columns)`` call, and each kernel
+        interpolates all of its slots in one
+        :meth:`~repro.profiles.benchmark.Profile.predict_batch` over
+        their dims stacked row-wise, in calls of at most
+        :data:`_STACKED_ROWS` rows.  Interpolation treats rows
+        independently, so stacking changes no bit.  Each plan then
+        adds its calls' slot times into zeros in call order, as the
+        scalar loop does, and ``Profile.predict`` is a one-row batch:
+        every column equals :meth:`predicted_time` bit for bit.
+        """
+        arr = np.asarray(instances_matrix, dtype=np.int64)
+        n = arr.shape[0]
+        slots: dict = {}
+        plans = [
+            [
+                slots.setdefault((step.kernel, step.dims), len(slots))
+                for step in algorithm.codegen.plan.steps
+            ]
+            for algorithm in algorithms
+        ]
+        by_kernel: Dict[KernelName, list] = {}
+        for (kernel, columns), slot in slots.items():
+            by_kernel.setdefault(kernel, []).append((slot, columns))
+        times: list = [None] * len(slots)
+        per_call = max(1, _STACKED_ROWS // max(n, 1))
+        for kernel, members in by_kernel.items():
+            profile = self.profiles.get(kernel)
+            if profile is None:
+                raise KeyError(f"no profile for kernel {kernel.value}")
+            for first in range(0, len(members), per_call):
+                group = members[first:first + per_call]
+                dims = np.concatenate([arr[:, cols] for _, cols in group])
+                stacked = profile.predict_batch(dims).reshape(len(group), n)
+                for (slot, _), values in zip(group, stacked):
+                    times[slot] = values
+        total = np.zeros((len(algorithms), n))
+        for row, plan in zip(total, plans):
+            for slot in plan:
+                row += times[slot]
+        return total.T
+
     def predicted_times_batch(
         self, algorithm: Algorithm, instances_matrix: np.ndarray
     ) -> np.ndarray:
-        """Profile-predicted times for all instances as one array.
-
-        The call batches come from the algorithm's compiled builder
-        when it carries one (shape indices resolved at codegen time),
-        else from running the calls builder once over whole instance
-        columns — its kernel *structure* is instance-independent
-        either way.  Each call slot then interpolates through
-        :meth:`repro.profiles.benchmark.Profile.predict_batch`.  Call
-        slots accumulate in the same order as the scalar loop, and the
-        scalar ``Profile.predict`` is a one-row batch, so the summed
-        times equal :meth:`predicted_time` bit for bit.
-        """
-        n = instances_matrix.shape[0]
-        total = np.zeros(n, dtype=np.float64)
-        for call_batch in algorithm.kernel_call_batches(instances_matrix):
-            profile = self.profiles.get(call_batch.kernel)
-            if profile is None:
-                raise KeyError(
-                    f"no profile for kernel {call_batch.kernel.value}"
-                )
-            total += profile.predict_batch(call_batch.dims)
-        return total
+        """One algorithm's column of :meth:`predicted_times_matrix`."""
+        return self.predicted_times_matrix([algorithm], instances_matrix)[:, 0]
 
 
 class ProfiledTimeDiscriminant(_ProfileMixin, Discriminant):
@@ -117,6 +164,7 @@ class ProfiledTimeDiscriminant(_ProfileMixin, Discriminant):
     def select(
         self, algorithms: Sequence[Algorithm], instance: Sequence[int]
     ) -> int:
+        _instance_matrix(algorithms, [instance])
         times = [self.predicted_time(a, instance) for a in algorithms]
         return times.index(min(times))
 
@@ -127,11 +175,8 @@ class ProfiledTimeDiscriminant(_ProfileMixin, Discriminant):
     ) -> List[int]:
         if len(instances) == 0:
             return []
-        arr = np.asarray(instances, dtype=np.int64)
-        times = np.stack(
-            [self.predicted_times_batch(a, arr) for a in algorithms],
-            axis=1,
-        )
+        arr = _instance_matrix(algorithms, instances)
+        times = self.predicted_times_matrix(algorithms, arr)
         return np.argmin(times, axis=1).tolist()
 
 
@@ -157,6 +202,7 @@ class FlopsProfileHybrid(_ProfileMixin, Discriminant):
     def select(
         self, algorithms: Sequence[Algorithm], instance: Sequence[int]
     ) -> int:
+        _instance_matrix(algorithms, [instance])
         flop_counts = [int(a.flops(instance)) for a in algorithms]
         cutoff = min(flop_counts) * (1.0 + self.margin)
         shortlist = [
@@ -179,16 +225,17 @@ class FlopsProfileHybrid(_ProfileMixin, Discriminant):
             return []
         from repro.core.classify import batch_flops
 
-        arr = np.asarray(instances, dtype=np.int64)
+        arr = _instance_matrix(algorithms, instances)
         flops = batch_flops(algorithms, arr)
         cutoff = flops.min(axis=1) * (1.0 + self.margin)
         shortlisted = flops <= cutoff[:, None]
         # Like the scalar path, only shortlisted algorithms are ever
         # profiled; a column no instance shortlists stays +inf.
+        columns = np.flatnonzero(shortlisted.any(axis=0)).tolist()
         times = np.full(flops.shape, np.inf)
-        for j, algorithm in enumerate(algorithms):
-            if shortlisted[:, j].any():
-                times[:, j] = self.predicted_times_batch(algorithm, arr)
+        times[:, columns] = self.predicted_times_matrix(
+            [algorithms[j] for j in columns], arr
+        )
         # argmin over +inf-masked times: first (lowest-index) minimum
         # inside the shortlist, matching the scalar tie rule.
         return np.argmin(
@@ -205,6 +252,7 @@ class BenchmarkDiscriminant(Discriminant):
     def select(
         self, algorithms: Sequence[Algorithm], instance: Sequence[int]
     ) -> int:
+        _instance_matrix(algorithms, [instance])
         times = [
             self.backend.predict_time(a, instance) for a in algorithms
         ]
@@ -218,5 +266,6 @@ class BenchmarkDiscriminant(Discriminant):
         # One matrix call so the backend can dedupe identical
         # (kernel, dims) benchmarks across plans (see
         # Backend.predict_times_matrix).
-        times = self.backend.predict_times_matrix(algorithms, instances)
+        arr = _instance_matrix(algorithms, instances)
+        times = self.backend.predict_times_matrix(algorithms, arr)
         return np.argmin(times, axis=1).tolist()

@@ -54,10 +54,11 @@ first row is its head.  Along a region ray, every call that does not
 read the walked dim repeats the row above.  Rows are measured in
 blocks of at most ``_PASS_IDS // width`` rows (``width``: the widest
 plan's calls).  Per block, base seconds are computed once per slot
-at its run heads and interference once per (producer, consumer) slot
-pair at every row.  In a block, consecutive plans share one *pass*
-while its padded ``(call, row)`` ids fit in :data:`_PASS_IDS`; a pass
-folds each call's ids at its slot's run heads (one
+at its run heads, in one ``kernel_seconds_batch`` per kernel over
+its slots stacked, and interference once per (producer, consumer)
+slot pair at every row.  In a block, consecutive plans share one
+*pass* while its padded ``(call, row)`` ids fit in :data:`_PASS_IDS`;
+a pass folds each call's ids at its slot's run heads (one
 :func:`~repro.machine.noise.fold_columns` per kernel arity), draws
 them all in one :meth:`MachineModel._median_factors`, and gathers the
 scaled medians to the rows through the slot's run index.
@@ -182,8 +183,12 @@ class _Block:
 
     Per slot: its kernel, its dims and base seconds at its run heads,
     and its run index (the run of each row, None when every row heads
-    one).  Per (producer, consumer) pair: the consumer's base seconds
-    with the producer's interference, at every row.
+    one).  Each kernel's base seconds come from one
+    ``kernel_seconds_batch`` over its slots' head dims stacked
+    row-wise, in calls of at most :data:`_PASS_IDS` rows; the times
+    treat rows independently, so stacking changes no bit.  Per
+    (producer, consumer) pair: the consumer's base seconds with the
+    producer's interference, at every row.
     """
 
     __slots__ = ("n", "kernels", "dims", "bases", "runs", "interfered")
@@ -197,7 +202,8 @@ class _Block:
         runs: dict = {}
         paired = {slot for pair in pairs for slot in pair}
         calls: dict = {}
-        self.kernels, self.dims, self.bases, self.runs = [], [], [], []
+        by_kernel: dict = {}
+        self.kernels, self.dims, self.runs = [], [], []
         for slot, (kernel, columns) in enumerate(slots):
             if columns not in runs:
                 runs[columns] = _runs(changed, always, columns)
@@ -209,8 +215,23 @@ class _Block:
                 dims = dims[head]
             self.kernels.append(kernel)
             self.dims.append(dims)
-            self.bases.append(machine.kernel_seconds_batch(kernel, dims))
             self.runs.append(run)
+            by_kernel.setdefault(kernel, []).append(slot)
+        # A slot has at most n head rows, so this many slots stacked
+        # stay within _PASS_IDS rows.
+        per_call = _PASS_IDS // self.n
+        self.bases = [None] * len(slots)
+        for kernel, members in by_kernel.items():
+            for first in range(0, len(members), per_call):
+                group = members[first:first + per_call]
+                bases = machine.kernel_seconds_batch(
+                    kernel, np.concatenate([self.dims[s] for s in group])
+                )
+                start = 0
+                for slot in group:
+                    stop = start + len(self.dims[slot])
+                    self.bases[slot] = bases[start:stop]
+                    start = stop
         self.interfered = []
         for producer, consumer in pairs:
             base, run = self.bases[consumer], self.runs[consumer]

@@ -52,6 +52,10 @@ class SelectionBatcher:
         discriminant: Optional[str] = None,
         annotate: bool = True,
     ) -> Selection:
+        # A bad request is refused alone, before it joins a bucket
+        # whose select_many call would fail for every request in it.
+        engine = self.engine
+        dims = engine._validated_dims(engine.expression_for(expression), dims)
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
         bucket_key: _BucketKey = (expression, discriminant, annotate)

@@ -27,7 +27,7 @@ from repro.experiments.regions import (
     RegionCell,
     explore_regions,
 )
-from repro.expressions.registry import get_expression
+from repro.expressions.registry import get_expression, known_expressions
 from repro.kernels.types import KernelName, batch_kernel_calls
 from repro.machine.presets import (
     no_cache_machine,
@@ -567,3 +567,212 @@ def test_predicted_times_batch_matches_scalar_sum(seed, aatb):
             discriminant.predicted_time(algorithm, inst)
             for inst in instances
         ]
+
+
+# ----------------------------------------------------------------------
+# Call slots on the selection path: one interpolation, one base-time
+# call per kernel
+# ----------------------------------------------------------------------
+
+#: Every registered family, plus pruned sum6 and chain5.
+SLOT_FAMILIES = tuple(dict.fromkeys(known_expressions() + ("sum6", "chain5")))
+
+
+@pytest.fixture(scope="module")
+def standard():
+    """A backend and every kernel's profile on the standard grid."""
+    from repro.profiles.benchmark import standard_profiles
+
+    backend = SimulatedBackend(paper_machine(seed=0))
+    return backend, standard_profiles(backend)
+
+
+def _slot_batches(n_dims: int, seed: int):
+    """Batches of 0, 1, 2, 7 and 128 rows: random, all-equal, off-grid.
+
+    Off-grid rows lie below or above the profile grid, where the
+    interpolation clamps.  The 128-row batch draws from 8 distinct
+    rows, half of them off the grid, so its scalar oracle stays cheap.
+    """
+    rng = np.random.default_rng(seed)
+
+    def off_grid(n):
+        below = rng.random((n, n_dims)) < 0.5
+        low = rng.integers(1, 24, size=(n, n_dims))
+        return np.where(below, low, rng.integers(1401, 4000, (n, n_dims)))
+
+    for n in (0, 1, 2, 7):
+        yield f"random-{n}", rng.integers(20, 1201, size=(n, n_dims))
+    pool = np.concatenate([rng.integers(20, 1201, (4, n_dims)), off_grid(4)])
+    yield "mixed-128", pool[rng.integers(0, 8, size=128)]
+    row = rng.integers(20, 1201, size=n_dims)
+    for n in (2, 7, 128):
+        yield f"all-equal-{n}", np.tile(row, (n, 1))
+    yield "off-grid-7", off_grid(7)
+
+
+@pytest.mark.parametrize("family", SLOT_FAMILIES)
+def test_predicted_times_matrix_matches_scalar(family, standard):
+    from repro.core.discriminants import ProfiledTimeDiscriminant
+
+    discriminant = ProfiledTimeDiscriminant(standard[1])
+    expression = get_expression(family)
+    algorithms = expression.algorithms()
+    for name, arr in _slot_batches(expression.n_dims, seed=len(family)):
+        got = discriminant.predicted_times_matrix(algorithms, arr)
+        assert got.shape == (arr.shape[0], len(algorithms)), name
+        rows = [tuple(row) for row in arr.tolist()]
+        for j, algorithm in enumerate(algorithms):
+            scalar = {
+                row: discriminant.predicted_time(algorithm, row)
+                for row in set(rows)
+            }
+            assert got[:, j].tolist() == [scalar[row] for row in rows], (
+                name, algorithm.name
+            )
+            assert discriminant.predicted_times_batch(
+                algorithm, arr
+            ).tolist() == got[:, j].tolist()
+
+
+@pytest.mark.parametrize("family", known_expressions())
+def test_profile_discriminants_match_scalar_on_every_family(family, standard):
+    from repro.core.discriminants import (
+        FlopsProfileHybrid,
+        ProfiledTimeDiscriminant,
+    )
+
+    profiles = standard[1]
+    expression = get_expression(family)
+    algorithms = expression.algorithms()
+    instances = _instances(expression.n_dims, 60, seed=len(family))
+    for discriminant in (
+        ProfiledTimeDiscriminant(profiles),
+        FlopsProfileHybrid(profiles, margin=0.0),
+        FlopsProfileHybrid(profiles, margin=0.5),
+        FlopsProfileHybrid(profiles, margin=5.0),
+    ):
+        scalar = [discriminant.select(algorithms, inst) for inst in instances]
+        assert discriminant.select_batch(algorithms, instances) == scalar
+
+
+def test_missing_profile_raises_the_same_key_error(standard, aatb):
+    from repro.core.discriminants import ProfiledTimeDiscriminant
+
+    profiles = dict(standard[1])
+    del profiles[KernelName.SYMM]
+    discriminant = ProfiledTimeDiscriminant(profiles)
+    algorithms = aatb.algorithms()
+    with pytest.raises(KeyError, match="no profile for kernel symm"):
+        discriminant.select(algorithms, (100, 200, 300))
+    with pytest.raises(KeyError, match="no profile for kernel symm"):
+        discriminant.select_batch(algorithms, [(100, 200, 300)])
+
+
+def test_one_row_sum4_hybrid_interpolates_once(standard, monkeypatch):
+    """All shortlisted plans' GEMM slots go through one interpolation."""
+    from repro.core.discriminants import FlopsProfileHybrid
+    from repro.profiles.benchmark import Profile
+
+    hybrid = FlopsProfileHybrid(standard[1], margin=0.5)
+    algorithms = get_expression("sum4").algorithms()
+    instance = (300, 40, 900, 120, 640, 75, 1100, 210)
+    want = hybrid.select(algorithms, instance)
+    rows = []
+    original = Profile.predict_batch
+
+    def counted(self, dims):
+        rows.append(len(dims))
+        return original(self, dims)
+
+    monkeypatch.setattr(Profile, "predict_batch", counted)
+    assert hybrid.select_batch(algorithms, [instance]) == [want]
+    assert len(rows) == 1
+    assert rows[0] > 1  # several distinct GEMM slots, stacked
+
+
+@pytest.mark.parametrize("bound", [1, 7, 20, 41])
+def test_stacked_interpolations_are_bounded(bound, standard, monkeypatch):
+    """Wide batches split each kernel's slots over bounded calls."""
+    from repro.core import discriminants
+    from repro.profiles.benchmark import Profile
+
+    discriminant = discriminants.ProfiledTimeDiscriminant(standard[1])
+    algorithms = get_expression("sum4").algorithms()
+    arr = dict(_slot_batches(8, seed=3))["mixed-128"][:10]
+    want = discriminant.predicted_times_matrix(algorithms, arr)
+    rows = []
+    original = Profile.predict_batch
+
+    def counted(self, dims):
+        rows.append(len(dims))
+        return original(self, dims)
+
+    monkeypatch.setattr(discriminants, "_STACKED_ROWS", bound)
+    monkeypatch.setattr(Profile, "predict_batch", counted)
+    got = discriminant.predicted_times_matrix(algorithms, arr)
+    assert got.tolist() == want.tolist()
+    # sum4's 20 GEMM slots over 10 rows: whole slots, at least one a call.
+    assert sum(rows) == 20 * 10
+    assert max(rows) == max(10, bound // 10 * 10)
+
+
+def test_one_row_prediction_computes_base_seconds_once_per_kernel(
+    aatb, monkeypatch
+):
+    """aatb's 5 plans make 10 calls over 6 slots of 3 kernels."""
+    backend = SimulatedBackend(paper_machine(seed=0))
+    kernels = []
+    original = backend.machine.kernel_seconds_batch
+
+    def counted(kernel, dims):
+        kernels.append(kernel)
+        return original(kernel, dims)
+
+    monkeypatch.setattr(backend.machine, "kernel_seconds_batch", counted)
+    got = backend.predict_times_matrix(aatb.algorithms(), [(64, 96, 128)])
+    assert sorted(kernel.value for kernel in kernels) == [
+        "gemm", "symm", "syrk"
+    ]
+    for j, algorithm in enumerate(aatb.algorithms()):
+        fresh = SimulatedBackend(paper_machine(seed=0))
+        assert fresh.predict_time(algorithm, (64, 96, 128)) == got[0, j]
+
+
+def _discriminants(standard):
+    from repro.core.discriminants import (
+        BenchmarkDiscriminant,
+        FlopsProfileHybrid,
+        MinFlopsDiscriminant,
+        ProfiledTimeDiscriminant,
+    )
+
+    backend, profiles = standard
+    return {
+        "min-flops": MinFlopsDiscriminant(),
+        "profiled-time": ProfiledTimeDiscriminant(profiles),
+        "hybrid": FlopsProfileHybrid(profiles),
+        "benchmark-sum": BenchmarkDiscriminant(backend),
+    }
+
+
+@pytest.mark.parametrize(
+    "name", ("min-flops", "profiled-time", "hybrid", "benchmark-sum")
+)
+@pytest.mark.parametrize("form", ("select", "select_batch"))
+@pytest.mark.parametrize(
+    "instance", [(100, 200, 300, 400), (100, 200)], ids=("wide", "narrow")
+)
+def test_discriminants_refuse_instances_of_the_wrong_width(
+    name, form, instance, standard, aatb
+):
+    discriminant = _discriminants(standard)[name]
+    algorithms = aatb.algorithms()
+    select = getattr(discriminant, form)
+    argument = instance if form == "select" else [instance]
+    with pytest.raises(ValueError, match="aatb takes 3 dims"):
+        select(algorithms, argument)
+    right = (100, 200, 300)
+    assert discriminant.select_batch(algorithms, [right]) == [
+        discriminant.select(algorithms, right)
+    ]

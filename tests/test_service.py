@@ -280,6 +280,29 @@ def test_batcher_propagates_request_errors(engine):
     assert isinstance(bad, SelectionError)
 
 
+def test_batcher_refuses_a_bad_request_alone(engine):
+    """A bad request in a coalesced bucket fails alone."""
+    batcher = SelectionBatcher(engine)
+
+    async def run():
+        return await asyncio.gather(
+            batcher.select(
+                "aatb", [100, 200, 300], "min-flops", annotate=False
+            ),
+            batcher.select(
+                "aatb", [100, 200, -5], "min-flops", annotate=False
+            ),
+            return_exceptions=True,
+        )
+
+    good, bad = asyncio.run(run())
+    solo = engine.select("aatb", [100, 200, 300], "min-flops", annotate=False)
+    assert not isinstance(good, BaseException), good
+    assert good.algorithm_index == solo.algorithm_index
+    assert isinstance(bad, SelectionError)
+    assert "dims must be positive" in str(bad)
+
+
 # ----------------------------------------------------------------------
 # HTTP front end
 # ----------------------------------------------------------------------
