@@ -2,20 +2,20 @@
 
 Two workloads, one aggregate gate:
 
-* **Measurement fusion** — ``MachineModel.measure_algorithms_batch``
-  over every algorithm of five registered families at small
-  (25-instance) batches, one call per family.  It is the call-batch
-  adapter of the machine's one pass: the batches' distinct dims
-  columns become an instance matrix and each call a step over them,
-  so equal calls share a slot.  The pass
+* **Measurement fusion** — ``MachineModel.measure_plans_batch`` over
+  every algorithm's ``Plan.steps`` of five registered families at
+  small (25-instance) batches, one call per family, as
+  ``SimulatedBackend`` calls it.  The machine compiles the family's
+  call table (slots, pairs, call order and id heads) on the first
+  call and reuses it; the pass
   (:meth:`repro.machine.machine.MachineModel._pass`) computes each
   slot's base seconds once, draws the noise factors of all the
   family's calls at their run heads in one draw (random rows: every
   row heads a run) and takes their median order statistics once; the
   baseline below, :func:`_per_call_loop`, draws the noise and takes
-  one ``np.median`` per call.  Results are bit-equal, because the
-  median of positively scaled factors is the scaled median factor,
-  and asserted so below.
+  one ``np.median`` per call of the interpreted call batches.
+  Results are bit-equal, because the median of positively scaled
+  factors is the scaled median factor, and asserted so below.
 
 * **Fused ADD execution** — an 8-leaf elementwise sum lowered by
   :func:`repro.expressions.compiler.compile_add_plans` and executed on
@@ -25,8 +25,9 @@ Two workloads, one aggregate gate:
   ADD.  Results are bit-equal.
 
 The gate is the *aggregate* speedup (summed baseline time over summed
-fused time) at >= 1.3x; measured headroom is ~2.7x for the
-measurement workload and ~1.6x for the ADD chain.
+fused time) at >= 1.3x; measured headroom is ~4x for the
+measurement workload and ~1.6x for the ADD chain (3.0-3.4x together
+on a shared 2-vCPU host).
 """
 
 import random
@@ -62,10 +63,8 @@ def _instances_matrix(expression, seed):
     )
 
 
-def _measure_all(machine, cases):
-    return machine.measure_algorithms_batch(
-        [batches for _, batches in cases], [name for name, _ in cases]
-    )
+def _measure_all(machine, arr, plans, names):
+    return machine.measure_plans_batch(arr, plans, names)
 
 
 def _per_call_loop(machine, calls, context_base, measured, predicted, bases):
@@ -148,12 +147,15 @@ def test_scheduler_measurement_and_fusion_speedup(run_once, fig_config):
     for family in FAMILIES:
         expression = get_expression(family)
         arr = _instances_matrix(expression, fig_config.seed + 47)
-        cases = [
-            (a.name, a.kernel_call_batches(arr))
-            for a in expression.algorithms()
-        ]
+        algorithms = expression.algorithms()
+        cases = [(a.name, a.kernel_call_batches(arr)) for a in algorithms]
+        fused = (
+            arr,
+            [a.codegen.plan.steps for a in algorithms],
+            [a.name for a in algorithms],
+        )
         family_cases.append(
-            (family, paper_machine(seed=fig_config.seed), cases, {})
+            (family, paper_machine(seed=fig_config.seed), cases, fused, {})
         )
 
     plan, operands = _add_chain_case(fig_config.seed + 48)
@@ -161,27 +163,27 @@ def test_scheduler_measurement_and_fusion_speedup(run_once, fig_config):
 
     # Warm both paths (codegen compiles lazily; noise tables fill on
     # first use) before any timing.
-    for _, machine, cases, bases in family_cases:
-        _measure_all(machine, cases)
+    for _, machine, cases, fused, bases in family_cases:
+        _measure_all(machine, *fused)
         _measure_all_per_call(machine, cases, bases)
     fused_exec(operands)
     plan.execute(operands)
 
     def run_all_fused():
         return [
-            _measure_all(machine, cases)
-            for _, machine, cases, _ in family_cases
+            _measure_all(machine, *fused)
+            for _, machine, _, fused, _ in family_cases
         ] + [fused_exec(operands)]
 
     run_once(run_all_fused)
 
     print()
     total_legacy = total_fused = 0.0
-    for family, machine, cases, bases in family_cases:
+    for family, machine, cases, fused, bases in family_cases:
         legacy_s, times_l = _best_of(
             _measure_all_per_call, machine, cases, bases
         )
-        fused_s, times_f = _best_of(_measure_all, machine, cases)
+        fused_s, times_f = _best_of(_measure_all, machine, *fused)
         total_legacy += legacy_s
         total_fused += fused_s
         print(

@@ -72,12 +72,15 @@ async def _client(
     dims_list: Sequence[Sequence[int]],
     latencies: List[float],
     responses: List[dict],
+    discriminant: Optional[str] = None,
 ) -> None:
     reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    # Without a discriminant the body names none: the server's default.
+    extra = {} if discriminant is None else {"discriminant": discriminant}
     try:
         for dims in dims_list:
             body = json.dumps(
-                {"expression": expression, "dims": list(dims)}
+                {"expression": expression, "dims": list(dims), **extra}
             ).encode()
             head = (
                 f"POST /select HTTP/1.1\r\nHost: bench\r\n"
@@ -115,6 +118,7 @@ async def _drive(
     clients: int,
     requests_per_client: int,
     seed: int,
+    discriminant: Optional[str] = None,
 ) -> dict:
     latencies: List[float] = []
     responses: List[dict] = []
@@ -129,7 +133,10 @@ async def _drive(
     started = time.perf_counter()
     await asyncio.gather(
         *(
-            _client(service.port, expression, stream, latencies, responses)
+            _client(
+                service.port, expression, stream, latencies, responses,
+                discriminant,
+            )
             for stream in streams
         )
     )
@@ -138,6 +145,7 @@ async def _drive(
     total = clients * requests_per_client
     return {
         "expression": expression,
+        "discriminant": discriminant,
         "clients": clients,
         "requests": total,
         "wall_seconds": round(wall, 4),
@@ -159,15 +167,21 @@ def run_load(
     clients: int = DEFAULT_CLIENTS,
     requests_per_client: int = DEFAULT_REQUESTS_PER_CLIENT,
     seed: int = 0,
+    discriminant: Optional[str] = None,
 ) -> dict:
-    """One service lifecycle: start, drive the load, stop, report."""
+    """One service lifecycle: start, drive the load, stop, report.
+
+    ``discriminant`` names the one every request asks for; None sends
+    none, so the server's default answers.
+    """
 
     async def session() -> dict:
         service = SelectionService(engine, port=0)
         await service.start()
         try:
             return await _drive(
-                service, expression, clients, requests_per_client, seed
+                service, expression, clients, requests_per_client, seed,
+                discriminant,
             )
         finally:
             await service.stop()
@@ -185,6 +199,7 @@ def _expected_selections(
     return engine.select_many(
         report["expression"],
         [response["dims"] for response in report["responses"]],
+        discriminant=report["discriminant"],
     )
 
 
@@ -233,6 +248,11 @@ def build_parser() -> argparse.ArgumentParser:
         "throughput/latency.",
     )
     parser.add_argument("--expression", default=DEFAULT_EXPRESSION)
+    parser.add_argument(
+        "--discriminant", default=None,
+        help="the discriminant every request names (default: none, so "
+        "the server's default answers)",
+    )
     parser.add_argument("--clients", type=int, default=DEFAULT_CLIENTS)
     parser.add_argument(
         "--requests", type=int, default=DEFAULT_REQUESTS_PER_CLIENT,
@@ -272,6 +292,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         clients=args.clients,
         requests_per_client=args.requests,
         seed=args.seed,
+        discriminant=args.discriminant,
     )
     expected = _expected_selections(engine, report)
     matches = [

@@ -12,9 +12,11 @@ same noise ids by design, and the median of positively scaled factors
 is the scaled median factor (rounding is monotone), so one noise pass
 yields both columns bit for bit.  Measuring an instance therefore also
 fills its prediction, and Experiment 3's predictions over region cells
-(every one of them measured by the traversal) are memo hits.  A
-prediction-only miss computes the prediction alone and leaves the
-measured column empty (NaN) until a measurement needs it.
+(every one of them measured by the traversal) are memo hits.  Only a
+measurement gives an instance memo rows.  A prediction fills the
+predicted column of rows that have them (the measured column stays
+NaN until a measurement needs it) and returns the rest unstored, so
+the service's stream of distinct one-off predictions grows no memo.
 
 The algorithms of one expression share one instance index (instance
 bytes to row id), so an instance's key is stored once, not once per
@@ -69,8 +71,11 @@ class _Memo:
         self._tables: Dict[object, np.ndarray] = {}
         self._width = width
 
-    def ids(self, keys: Sequence[bytes]) -> np.ndarray:
-        """The id of each key, assigning fresh ids to unseen keys."""
+    def ids(self, keys: Sequence[bytes], assign: bool = True) -> np.ndarray:
+        """The id of each key, fresh for unseen keys if ``assign``.
+
+        Otherwise unseen keys get distinct negative ids, not stored.
+        """
         index = self._ids
         ids = np.fromiter(
             map(index.get, keys, repeat(-1)), dtype=np.int64, count=len(keys)
@@ -79,10 +84,10 @@ class _Memo:
         if unseen.size:
             unseen_keys = [keys[position] for position in unseen.tolist()]
             fresh = dict.fromkeys(unseen_keys)
-            start = len(index)
-            index.update(zip(fresh, range(start, start + len(fresh))))
+            lookup, start = (index, len(index)) if assign else ({}, -len(fresh))
+            lookup.update(zip(fresh, range(start, start + len(fresh))))
             ids[unseen] = np.fromiter(
-                map(index.__getitem__, unseen_keys),
+                map(lookup.__getitem__, unseen_keys),
                 dtype=np.int64,
                 count=len(unseen_keys),
             )
@@ -167,8 +172,10 @@ class SimulatedBackend(Backend):
         lacks are computed in one machine call, over the union of the
         missing rows, for each algorithm missing at least one.  The
         model is deterministic, so rows rewritten that way get the
-        bits they already held.  A measurement fills both columns; a
-        prediction-only miss writes only the predicted column.
+        bits they already held.  Only a measurement gives rows ids; it
+        fills both columns.  A prediction fills the predicted column
+        of rows that have ids and returns the others unstored, so a
+        stream of distinct predictions leaves the memo as it was.
         """
         out = np.empty((arr.shape[0], len(algorithms)))
         by_expression: Dict[str, List[int]] = {}
@@ -179,9 +186,14 @@ class SimulatedBackend(Backend):
             memo = self._algorithm_memos.get(expression)
             if memo is None:
                 memo = self._algorithm_memos[expression] = _Memo(2)
-            ids = memo.ids(keys)
-            tables = [memo.table(algorithms[j].name) for j in columns]
-            values = np.stack([table[ids, column] for table in tables])
+            ids = memo.ids(keys, assign=column == _MEASURED)
+            # Only predictions leave rows without ids; they hold nothing.
+            seen = ids >= 0
+            tables, values = [], np.full((len(columns), len(ids)), np.nan)
+            if seen.any():
+                tables = [memo.table(algorithms[j].name) for j in columns]
+                at = ids[seen]
+                values[:, seen] = [table[at, column] for table in tables]
             missing = np.isnan(values)
             lacking = np.flatnonzero(missing.any(axis=1))
             if lacking.size:
@@ -201,12 +213,16 @@ class SimulatedBackend(Backend):
                     predicted = self.machine.predict_plans_batch(
                         sub, plans, contexts
                     )
-                for i, r in enumerate(lacking.tolist()):
+                # Sorted ids: the rows without one lead and stay unstored.
+                kept = slice(np.searchsorted(todo, 0), None)
+                for i, r in enumerate(lacking.tolist() if tables else ()):
                     table = tables[r]
                     if measured is not None:
-                        table[todo, _MEASURED] = measured[i]
-                    table[todo, _PREDICTED] = predicted[i]
-                    values[r] = table[ids, column]
+                        table[todo[kept], _MEASURED] = measured[i, kept]
+                    table[todo[kept], _PREDICTED] = predicted[i, kept]
+                computed = predicted if measured is None else measured
+                inverse = np.searchsorted(todo, ids[rows])
+                values[lacking[:, None], rows] = computed[:, inverse]
             out[:, columns] = values.T
         return out
 

@@ -48,35 +48,44 @@ plan: :meth:`MachineModel.measure_plans_batch` and
 :meth:`MachineModel.predict_plans_batch` time P plans' steps (kernel,
 instance columns, ``reads_previous``) over an instance matrix.  A
 **slot** is a distinct ``(kernel, instance columns)`` call: sum4's 25
-plans make 150 calls over 20 slots.  A **run** is a maximal block of
+plans make 150 calls over 20 slots.  A plan set's slots, its
+(producer, consumer) slot pairs and its call order never change, so a
+**call table** compiles them once (cached per machine for step
+tuples, as ``Plan.steps`` holds them): each call's slot, pair and
+index as int arrays, and its id head (context, call index and kernel
+folded) in one uint64 array.  A **run** is a maximal block of
 consecutive rows whose values in a slot's columns do not change; its
 first row is its head.  Along a region ray, every call that does not
 read the walked dim repeats the row above.  Rows are measured in
 blocks of at most ``_PASS_IDS // width`` rows (``width``: the widest
 plan's calls).  Per block, base seconds are computed once per slot
 at its run heads, in one ``kernel_seconds_batch`` per kernel over
-its slots stacked, and interference once per (producer, consumer)
-slot pair at every row.  In a block, consecutive plans share one
-*pass* while its padded ``(call, row)`` ids fit in :data:`_PASS_IDS`;
-a pass folds each call's ids at its slot's run heads (one
-:func:`~repro.machine.noise.fold_columns` per kernel arity), draws
-them all in one :meth:`MachineModel._median_factors`, and gathers the
-scaled medians to the rows through the slot's run index.
+its slots stacked, and interference once per pair at every row.  In
+a block, consecutive plans share one *pass* while its padded
+``(call, row)`` ids fit in :data:`_PASS_IDS`.  A pass is a few array
+operations whatever its call count: per kernel arity one gather of
+its calls' head dims and one
+:func:`~repro.machine.noise.fold_columns`, one
+:meth:`MachineModel._median_factors` draw, one gather of the scaled
+medians to the rows through the run indexes, and then, for each k,
+one add of every plan's k-th call.
 
 Gathering is exact: a call's id, base time and noise are functions of
 its dims (with its context, index and kernel), and every row of a run
 has its head's values in the slot's columns, so a gather copies the
 bits the row would compute.  Noise is elementwise in the ids, and
 base times and interference in the dims, so grouping plans into
-passes and rows into blocks changes no bit either.  The call-batch
-forms (``measure_algorithms_batch`` and the one-plan and scalar
-forms) are adapters: their instance matrix is the call batches'
-distinct dims columns side by side, one step per call.
+passes and rows into blocks changes no bit either.  Each plan's total
+is still ``0.0 + call 0 + call 1 + ...`` in call order; the adds only
+interleave the plans.  The call-batch forms (``measure_algorithms_batch``
+and the one-plan and scalar forms) are adapters: their instance matrix
+is the call batches' distinct dims columns side by side, one step per
+call, in fresh lists, so their tables compile on every call.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -178,87 +187,150 @@ def _as_steps(plans: Sequence[Sequence[KernelCallBatch]]):
     return instances, steps
 
 
+class _CallTable:
+    """One plan set's calls, interned once (see the module docstring).
+
+    ``slots``: the distinct ``(kernel, columns)`` calls, by arity and
+    kernel, so each kernel's are contiguous (``kernels``: ``(kernel,
+    first, stop)``); ``columns``: theirs as ``(S, 3)``, padded with
+    repeats, which move no run head.  Per call, plan by plan: ``slot``,
+    ``pair`` (into ``pairs``; -1 when it reads no previous output),
+    ``index``, ``plan`` and ``heads``.
+    """
+
+    def __init__(self, machine: "MachineModel", plans, contexts) -> None:
+        if not all(plans):
+            raise ValueError("algorithm batch needs at least one call")
+        # Pins the step sequences, so no id in a cache key is reused.
+        self.plans = tuple(plans)
+        steps = [step for plan in plans for step in plan]
+        keys = [(step.kernel, tuple(step.dims)) for step in steps]
+        self.slots = sorted(
+            dict.fromkeys(keys),
+            key=lambda key: (KERNEL_ARITY[key[0]], _KERNEL_TOKEN[key[0]]),
+        )
+        self.columns = np.array(
+            [(columns * 3)[:3] for _, columns in self.slots], dtype=np.intp
+        ).reshape(-1, 3)
+        kernels = [kernel for kernel, _ in self.slots]
+        self.arity = np.array([KERNEL_ARITY[kernel] for kernel in kernels])
+        self.kernels = [
+            (kernel, kernels.index(kernel), kernels.index(kernel) + count)
+            for kernel, count in Counter(kernels).items()
+        ]
+        slot_of = {key: slot for slot, key in enumerate(self.slots)}
+        slots = [slot_of[key] for key in keys]
+        self.lengths = [len(plan) for plan in plans]
+        self.starts = np.cumsum([0] + self.lengths)
+        self.slot = np.array(slots, dtype=np.intp)
+        self.plan = np.repeat(np.arange(len(plans)), self.lengths)
+        self.index = np.arange(len(keys)) - self.starts[self.plan]
+        pairs: dict = {}
+        self.pair = np.array([
+            pairs.setdefault((slots[c - 1], slots[c]), len(pairs))
+            if index and step.reads_previous else -1
+            for c, (index, step) in enumerate(zip(self.index.tolist(), steps))
+        ], dtype=np.intp)
+        self.pairs = list(pairs)
+        bases = [machine._stream_base(context) for context in contexts]
+        self.heads = fold(
+            fold(np.array(bases, dtype=np.uint64)[self.plan], self.index),
+            [_KERNEL_TOKEN[kernel] for kernel, _ in keys],
+        )
+        self.layouts: dict = {}
+
+    def layout(self, first: int, stop: int) -> tuple:
+        """Plans ``first`` to ``stop`` as a pass reads them, compiled once.
+
+        ``(groups, order, slots, steps, paired, pairs)``: each arity
+        group's arity, call slots and id heads, in draw order; the
+        calls in call-major order (call index, then plan) as places in
+        the draw and as slots; per k, the plans with a k-th call (None
+        for all) and those calls' slice of the call-major order; and
+        the call-major places of the calls with a pair, and the pairs.
+        """
+        layout = self.layouts.get((first, stop))
+        if layout is None:
+            lo, hi = self.starts[first], self.starts[stop]
+            slots, heads = self.slot[lo:hi], self.heads[lo:hi]
+            arity = self.arity[slots]
+            groups = [
+                (group, slots[arity == group], heads[arity == group])
+                for group in np.unique(arity).tolist()
+            ]
+            place = np.empty(hi - lo, dtype=np.intp)
+            place[np.argsort(arity, kind="stable")] = np.arange(hi - lo)
+            index, plan = self.index[lo:hi], self.plan[lo:hi] - first
+            major = np.lexsort((plan, index))
+            bounds = np.cumsum([0] + np.bincount(index).tolist()).tolist()
+            steps = [
+                (None if b - a == stop - first else plan[major[a:b]],
+                 slice(a, b))
+                for a, b in zip(bounds, bounds[1:])
+            ]
+            pair = self.pair[lo:hi][major]
+            paired = np.flatnonzero(pair >= 0)
+            layout = self.layouts[first, stop] = (
+                groups, place[major], slots[major], steps, paired, pair[paired]
+            )
+        return layout
+
+
 class _Block:
     """What the passes over one row block share.
 
-    Per slot: its kernel, its dims and base seconds at its run heads,
-    and its run index (the run of each row, None when every row heads
-    one).  Each kernel's base seconds come from one
-    ``kernel_seconds_batch`` over its slots' head dims stacked
-    row-wise, in calls of at most :data:`_PASS_IDS` rows; the times
-    treat rows independently, so stacking changes no bit.  Per
-    (producer, consumer) pair: the consumer's base seconds with the
-    producer's interference, at every row.
+    ``dims``: the slots' dims at their run heads as ``(3, heads)``, slot
+    ``s``'s from ``offsets[s]`` to ``offsets[s + 1]``; ``bases``: their
+    base seconds, one ``kernel_seconds_batch`` per kernel over its
+    slots in calls of at most :data:`_PASS_IDS` rows (rowwise, so
+    stacking changes no bit).  ``runs``: each slot's run of each row,
+    None when every row heads one.  ``interfered``: per pair, the
+    consumer's base seconds with the producer's interference at every
+    row (None when no interference is measured).
     """
 
-    __slots__ = ("n", "kernels", "dims", "bases", "runs", "interfered")
+    __slots__ = ("n", "dims", "bases", "offsets", "runs", "interfered")
 
-    def __init__(self, machine: "MachineModel", rows, slots, pairs) -> None:
-        self.n = rows.shape[0]
-        # changed[j, i]: column j differs between rows i and i + 1.  A
-        # slot reading a column that changes at every row has no runs.
+    def __init__(
+        self, machine: "MachineModel", table: _CallTable, rows, interfere
+    ) -> None:
+        n = self.n = rows.shape[0]
+        # head[s, i]: row i heads a run of slot s, as the first row or
+        # where a column the slot reads differs from the row above.
+        head = np.ones((len(table.slots), n), dtype=bool)
         changed = np.ascontiguousarray((rows[1:] != rows[:-1]).T)
-        always = changed.all(axis=1).tolist()
-        runs: dict = {}
-        paired = {slot for pair in pairs for slot in pair}
-        calls: dict = {}
-        by_kernel: dict = {}
-        self.kernels, self.dims, self.runs = [], [], []
-        for slot, (kernel, columns) in enumerate(slots):
-            if columns not in runs:
-                runs[columns] = _runs(changed, always, columns)
-            head, run = runs[columns]
-            dims = rows[:, columns]
-            if slot in paired:
-                calls[slot] = KernelCallBatch(kernel, dims)
-            if head is not None:
-                dims = dims[head]
-            self.kernels.append(kernel)
-            self.dims.append(dims)
-            self.runs.append(run)
-            by_kernel.setdefault(kernel, []).append(slot)
-        # A slot has at most n head rows, so this many slots stacked
-        # stay within _PASS_IDS rows.
-        per_call = _PASS_IDS // self.n
-        self.bases = [None] * len(slots)
-        for kernel, members in by_kernel.items():
-            for first in range(0, len(members), per_call):
-                group = members[first:first + per_call]
-                bases = machine.kernel_seconds_batch(
-                    kernel, np.concatenate([self.dims[s] for s in group])
+        np.any(changed[table.columns], axis=1, out=head[:, 1:])
+        dims = rows.T[table.columns.T]
+        offsets = self.offsets = np.arange(len(table.slots) + 1) * n
+        self.runs = None
+        if not head.all():
+            self.runs = np.cumsum(head, axis=1) - 1
+            np.cumsum(self.runs[:, -1] + 1, out=offsets[1:])
+            dims = dims[:, head]
+        self.dims = dims.reshape(3, -1)
+        self.bases = np.empty(self.dims.shape[1])
+        for kernel, first, last in table.kernels:
+            stop = offsets[last]
+            for start in range(offsets[first], stop, _PASS_IDS):
+                end = min(start + _PASS_IDS, stop)
+                self.bases[start:end] = machine.kernel_seconds_batch(
+                    kernel, self.dims[:KERNEL_ARITY[kernel], start:end].T
                 )
-                start = 0
-                for slot in group:
-                    stop = start + len(self.dims[slot])
-                    self.bases[slot] = bases[start:stop]
-                    start = stop
-        self.interfered = []
-        for producer, consumer in pairs:
-            base, run = self.bases[consumer], self.runs[consumer]
-            penalty = machine.interference_penalty_batch(
-                calls[producer], calls[consumer]
-            )
-            self.interfered.append(
-                (base if run is None else base[run]) * (1.0 + penalty)
-            )
-
-
-def _runs(changed: np.ndarray, always, columns) -> tuple:
-    """``(head, run)`` of the slots reading ``columns`` in one block.
-
-    ``head`` marks the rows where a run starts; ``run`` is each row's
-    run.  Both are None when every row starts a run.
-    """
-    if any(always[column] for column in columns):
-        return None, None
-    head = np.empty(changed.shape[1] + 1, dtype=bool)
-    head[0] = True
-    np.copyto(head[1:], changed[columns[0]])
-    for column in columns[1:]:
-        np.logical_or(head[1:], changed[column], out=head[1:])
-    if np.count_nonzero(head) == head.size:
-        return None, None
-    return head, np.cumsum(head) - 1
+        self.interfered = None
+        if interfere and table.pairs:
+            calls = {}
+            for slot in {slot for pair in table.pairs for slot in pair}:
+                kernel, columns = table.slots[slot]
+                calls[slot] = KernelCallBatch(kernel, rows[:, columns])
+            self.interfered = np.empty((len(table.pairs), n))
+            for q, (producer, consumer) in enumerate(table.pairs):
+                base = self.bases[offsets[consumer]:offsets[consumer + 1]]
+                if self.runs is not None:
+                    base = base[self.runs[consumer]]
+                penalty = machine.interference_penalty_batch(
+                    calls[producer], calls[consumer]
+                )
+                np.multiply(base, 1.0 + penalty, out=self.interfered[q])
 
 
 class MachineModel:
@@ -280,7 +352,7 @@ class MachineModel:
         self.variant_dispatch = variant_dispatch
         self.cache_effects = cache_effects
         self._stream_base_cache: dict = {}
-        self._id_heads: dict = {}
+        self._tables: dict = {}
 
     @property
     def peak_flops(self) -> float:
@@ -382,14 +454,10 @@ class MachineModel:
         kernel) once; :func:`fold` is elementwise, so that equals
         folding them into every row.
         """
-        key = (context_base, index, kernel)
-        head = self._id_heads.get(key)
-        if head is None:
-            ids = np.array([context_base], dtype=np.uint64)
-            if index is not None:
-                ids = fold(ids, index)
-            head = self._id_heads[key] = fold(ids, _KERNEL_TOKEN[kernel])[0]
-        return head
+        ids = np.array([context_base], dtype=np.uint64)
+        if index is not None:
+            ids = fold(ids, index)
+        return fold(ids, _KERNEL_TOKEN[kernel])[0]
 
     def _measurement_ids(
         self,
@@ -504,39 +572,33 @@ class MachineModel:
                 f"need an (n, n_dims) matrix and a context per plan, got "
                 f"{instances.shape!r}, {len(plans)} plans, {len(contexts)}"
             )
+        key = (tuple(map(id, plans)), tuple(contexts))
+        table = self._tables.get(key)
+        if table is None or any(a is not b for a, b in zip(table.plans, plans)):
+            table = _CallTable(self, plans, contexts)
+            # An identity key is sound for immutable step sequences only.
+            if all(isinstance(steps, tuple) for steps in plans):
+                self._tables[key] = table
         interfere = measured is not None and self.cache_effects
-        slots: dict = {}
-        pairs: dict = {}
-        calls = []
-        for steps in plans:
-            if not steps:
-                raise ValueError("algorithm batch needs at least one call")
-            calls.append([])
-            for index, step in enumerate(steps):
-                slot = slots.setdefault((step.kernel, step.dims), len(slots))
-                pair = None
-                if interfere and index and step.reads_previous:
-                    previous = calls[-1][-1][0]
-                    pair = pairs.setdefault((previous, slot), len(pairs))
-                calls[-1].append((slot, pair))
         for totals in (measured, predicted):
             if totals is not None:
                 totals[...] = 0.0
-        block_rows = max(1, _PASS_IDS // max(map(len, calls), default=1))
+        lengths = table.lengths
+        block_rows = max(1, _PASS_IDS // max(lengths, default=1))
         for start in range(0, instances.shape[0], block_rows):
             rows = slice(start, start + block_rows)
-            block = _Block(self, instances[rows], list(slots), list(pairs))
+            block = _Block(self, table, instances[rows], interfere)
             first = 0
-            while first < len(calls):
-                stop, width = first + 1, len(calls[first])
-                while stop < len(calls):
-                    wider = max(width, len(calls[stop]))
+            while first < len(lengths):
+                stop, width = first + 1, lengths[first]
+                while stop < len(lengths):
+                    wider = max(width, lengths[stop])
                     if wider * (stop + 1 - first) * block.n > _PASS_IDS:
                         break
                     stop, width = stop + 1, wider
                 self._pass(
-                    calls[first:stop],
-                    contexts[first:stop],
+                    range(first, stop),
+                    table,
                     block,
                     None if measured is None else measured[first:stop, rows],
                     None if predicted is None else predicted[first:stop, rows],
@@ -546,64 +608,66 @@ class MachineModel:
 
     def _pass(
         self,
-        plans: Sequence[Sequence[Tuple[int, Optional[int]]]],
-        contexts: Sequence[str],
+        plans: range,
+        table: _CallTable,
         block: _Block,
         measured: Optional[np.ndarray],
         predicted: Optional[np.ndarray],
     ) -> None:
         """One pass over a few plans of one row block.
 
-        ``plans[p]`` lists each call's ``(slot, pair)`` in call order.
-        Every call's ids are folded and drawn at its slot's run heads;
-        its scaled medians are gathered to the block's rows and added
-        to its plan's zeroed totals in call order (never a pairwise
-        ``np.sum``).  Only the measured time adds its pair's
+        Array operations only (see the module docstring).  Each plan
+        adds its calls to its zeroed totals in call order, never by a
+        pairwise ``np.sum``.  Only the measured time adds its pair's
         interference to its base time; both share the one draw.
         """
-        groups: dict = {}
-        for p, (plan, context) in enumerate(zip(plans, contexts)):
-            context_base = self._stream_base(context)
-            for index, (slot, _) in enumerate(plan):
-                kernel = block.kernels[slot]
-                keys, heads, dims = groups.setdefault(
-                    KERNEL_ARITY[kernel], ([], [], [])
+        groups, order, slots, steps, paired, pairs = table.layout(
+            plans.start, plans.stop
+        )
+        n, ids, bases, counts = block.n, [], [], []
+        for arity, group, heads in groups:
+            if block.runs is None:
+                dims = block.dims.reshape(3, -1, n)[:arity, group]
+                base, count = block.bases.reshape(-1, n)[group], n
+            else:
+                start = block.offsets[group]
+                count = block.offsets[group + 1] - start
+                at = np.arange(count.sum()) + np.repeat(
+                    start - np.cumsum(count) + count, count
                 )
-                keys.append((p, index))
-                heads.append(self._id_head(context_base, index, kernel))
-                dims.append(block.dims[slot])
-        spans, folded, size = {}, [], 0
-        for keys, heads, dims in groups.values():
-            counts = [d.shape[0] for d in dims]
-            folded.append(
-                fold_columns(
-                    np.repeat(np.array(heads, dtype=np.uint64), counts),
-                    np.concatenate(dims),
-                )
+                dims, base = block.dims[:arity, at], block.bases[at]
+                counts.append(count)
+            ids.append(
+                fold_columns(np.repeat(heads, count), dims.reshape(arity, -1).T)
             )
-            for key, count in zip(keys, counts):
-                spans[key] = slice(size, size + count)
-                size += count
-        low, high = self._median_factors(np.concatenate(folded))
-        for p, plan in enumerate(plans):
-            for index, (slot, pair) in enumerate(plan):
-                lo = low[spans[p, index]]
-                hi = None if high is None else high[spans[p, index]]
-                run = block.runs[slot]
-                isolated = self._scaled_median(block.bases[slot], lo, hi)
-                if run is not None:
-                    isolated = isolated[run]
-                if predicted is not None:
-                    predicted[p] += isolated
-                if measured is not None and pair is None:
-                    measured[p] += isolated
-                elif measured is not None:
-                    if run is not None:
-                        lo = lo[run]
-                        hi = None if hi is None else hi[run]
-                    measured[p] += self._scaled_median(
-                        block.interfered[pair], lo, hi
-                    )
+            bases.append(base.reshape(-1))
+        low, high = self._median_factors(np.concatenate(ids))
+        scaled = self._scaled_median(np.concatenate(bases), low, high)
+        if block.runs is None:
+            # Every call has n ids: gather whole rows.
+            shape, at = (-1, n), order
+        else:
+            count = np.concatenate(counts)
+            start = np.cumsum(count) - count
+            shape, at = (-1,), start[order, None] + block.runs[slots]
+        isolated = values = scaled.reshape(shape)[at]
+        interfere = measured is not None and block.interfered is not None
+        if interfere and paired.size:
+            if predicted is not None:
+                values = isolated.copy()
+            values[paired] = self._scaled_median(
+                block.interfered[pairs],
+                low.reshape(shape)[at[paired]],
+                None if high is None else high.reshape(shape)[at[paired]],
+            )
+        for totals, addends in ((predicted, isolated), (measured, values)):
+            if totals is None:
+                continue
+            for with_k, calls in steps:
+                if with_k is None:
+                    totals += addends[calls]
+                else:
+                    totals[with_k] += addends[calls]
 
     def measure_algorithms_batch(
         self,

@@ -9,6 +9,7 @@ cold, corrupt, or unreachable.
 import asyncio
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -127,6 +128,33 @@ def test_engine_annotate_false_skips_study_lookup(engine):
     selection = engine.select("aatb", [100, 200, 300], annotate=False)
     assert selection.study_source == "skipped"
     assert selection.in_known_anomaly_region is None
+
+
+def test_distinct_benchmark_sum_requests_keep_memory_flat(engine):
+    """Predictions add no memo rows, so distinct requests hold no memory.
+
+    Request dims almost never repeat; a memo row per predicted
+    instance grew the engine by ~2 MB over 2,500 one-row sum4
+    requests.
+    """
+    n_dims = engine.expression_for("sum4").n_dims
+    rng = random.Random(5)
+
+    def serve(count):
+        for _ in range(count):
+            dims = [rng.randrange(10, 1400) for _ in range(n_dims)]
+            engine.select_many(
+                "sum4", [dims], discriminant="benchmark-sum", annotate=False
+            )
+
+    serve(2500)
+    tracemalloc.start()
+    try:
+        serve(2500)
+        grown, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert grown < 0.25 * 2**20
 
 
 @pytest.mark.parametrize(

@@ -21,6 +21,7 @@ and a matrix call over a partly warm memo equals fresh backends.
 
 import random
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -502,6 +503,114 @@ def test_kernel_medians_match_the_median_of_scaled_factors(kind):
                 machine.measure_kernel_batch(kernel, dims),
                 np.median(base[:, None] * factors, axis=1),
             )
+
+
+# ----------------------------------------------------------------------
+# Machine: one call table per plan set
+# ----------------------------------------------------------------------
+
+
+def _counting(counts, name, function):
+    """``function``, counting its calls under ``name``."""
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return function(*args, **kwargs)
+
+    return counted
+
+
+@pytest.mark.parametrize("family", ("sum4", "aatb"))
+def test_one_row_pass_runs_as_array_operations(family, monkeypatch):
+    """One fold per arity group and one draw, whatever the call count.
+
+    sum4's 150 calls are all GEMMs; aatb mixes GEMM with SYRK and SYMM.
+    A second call over the same plans reuses the compiled call table:
+    it builds none and folds no per-call id head.
+    """
+    expression = get_expression(family)
+    algorithms = expression.algorithms()
+    steps = [a.codegen.plan.steps for a in algorithms]
+    names = [a.name for a in algorithms]
+    arities = {KERNEL_ARITY[step.kernel] for plan in steps for step in plan}
+    arr = _instances(expression.n_dims, 1, seed=3)[:1]
+    counts = Counter()
+    for owner, name, key in (
+        (machine_module, "fold_columns", "fold"),
+        (machine_module, "_CallTable", "table"),
+        (MachineModel, "_median_factors", "draw"),
+        (MachineModel, "_id_head", "head"),
+    ):
+        wrapped = _counting(counts, key, getattr(owner, name))
+        monkeypatch.setattr(owner, name, wrapped)
+    machine = paper_machine(seed=0)
+    first = machine.predict_plans_batch(arr, steps, names)
+    assert counts == {"fold": len(arities), "draw": 1, "table": 1}
+    counts.clear()
+    again = machine.predict_plans_batch(arr, steps, names)
+    assert counts == {"fold": len(arities), "draw": 1}
+    assert np.array_equal(again, first)
+
+
+def test_call_tables_are_cached_for_tuple_steps_only():
+    """Identity keys hold only for immutable step sequences.
+
+    The call-batch adapter builds fresh step lists on every call, so a
+    thousand calls add no table; a list of steps mutated in place
+    between two calls is measured as it stands each time.
+    """
+    expression = get_expression("aatb")
+    algorithms = expression.algorithms()
+    names = [a.name for a in algorithms]
+    arr = _instances(expression.n_dims, 2, seed=1)
+    machine = paper_machine(seed=0)
+    machine.measure_plans_batch(
+        arr, [a.codegen.plan.steps for a in algorithms], names
+    )
+    size = len(machine._tables)
+    calls = [a.kernel_call_batches(arr) for a in algorithms]
+    for _ in range(1000):
+        machine.measure_algorithms_batch(calls, names)
+    assert len(machine._tables) == size
+    steps = list(algorithms[0].codegen.plan.steps)
+    for source in algorithms[:2]:
+        steps[:] = source.codegen.plan.steps
+        batches = [
+            KernelCallBatch(s.kernel, arr[:, s.dims], s.reads_previous)
+            for s in steps
+        ]
+        want_measured, want_predicted = reference_totals(
+            machine, batches, "mutated"
+        )
+        predicted = np.empty((1, len(arr)))
+        measured = machine.measure_plans_batch(
+            arr, [steps], ["mutated"], predicted=predicted
+        )
+        assert np.array_equal(measured[0], want_measured)
+        assert np.array_equal(predicted[0], want_predicted)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("kind", NOISE_KINDS)
+def test_cached_call_tables_repeat_the_first_call(family, kind):
+    """A repeated measurement over the same plans returns the same bits."""
+    expression = get_expression(family)
+    algorithms = expression.algorithms()
+    steps = [a.codegen.plan.steps for a in algorithms]
+    names = [a.name for a in algorithms]
+    arr = _instances(expression.n_dims, 64, seed=len(family))
+    for machine in _machines(kind):
+        for rows in (arr[:1], arr):
+            runs = []
+            for _ in range(2):
+                predicted = np.empty((len(steps), len(rows)))
+                measured = machine.measure_plans_batch(
+                    rows, steps, names, predicted=predicted
+                )
+                runs.append((measured, predicted))
+            (measured, predicted), (again, again_predicted) = runs
+            assert np.array_equal(again, measured)
+            assert np.array_equal(again_predicted, predicted)
 
 
 # ----------------------------------------------------------------------
