@@ -1,18 +1,15 @@
-"""Plan codegen vs the interpreted batch paths on the study hot loop.
+"""Plan codegen vs the interpreted FLOP evaluation on the study hot loop.
 
-The study hot loop spends its non-machine time in two places: batch
-FLOP evaluation (every ``evaluate_instances`` / ``batch_flops`` call)
-and :class:`KernelCallBatch` construction (every backend batch
-method).  The generated per-plan evaluators
-(:mod:`repro.expressions.codegen`) replace both with ``compile()``d
-closed-form column arithmetic — this bench pins the speedup at
+Batch FLOP evaluation (every ``evaluate_instances`` / ``batch_flops``
+call) is the study hot loop's generated code: the per-plan FLOP
+evaluators (:mod:`repro.expressions.codegen`) are ``compile()``d
+closed-form column arithmetic.  This bench pins their speedup at
 ≥ 3× aggregated over the registered families at 1000-instance
-batches, and the contract that the generated results equal the
-interpreted ones exactly.
+batches, and the contract that the generated FLOP matrix equals the
+interpreted one exactly.
 
 The interpreter side below is the literal pre-codegen path: whole
-instance columns through each algorithm's FLOP polynomial plus
-``batch_kernel_calls`` over the interpreted call sequence — the
+instance columns through each algorithm's FLOP polynomial — the
 oracle the generated functions are tested against.
 """
 
@@ -24,7 +21,6 @@ import numpy as np
 from repro.core.classify import batch_flops
 from repro.core.searchspace import paper_box
 from repro.expressions.registry import get_expression
-from repro.kernels.types import batch_kernel_calls
 
 N_INSTANCES = 1000
 MIN_SPEEDUP = 3.0
@@ -49,24 +45,17 @@ def _instances_matrix(expression, seed):
 
 
 def _interpreted(algorithms, arr):
-    """The pre-codegen hot loop: polynomial columns + batched calls."""
+    """The pre-codegen hot loop: each polynomial over whole columns."""
     columns = tuple(arr[:, i] for i in range(arr.shape[1]))
-    flops = np.stack(
+    return np.stack(
         [np.asarray(a.flops(columns), dtype=np.int64) for a in algorithms],
         axis=1,
     )
-    calls = [
-        batch_kernel_calls(a.kernel_calls(columns), arr.shape[0])
-        for a in algorithms
-    ]
-    return flops, calls
 
 
 def _generated(algorithms, arr):
-    """The codegen hot loop: shared flops fns + compiled call builders."""
-    flops = batch_flops(algorithms, arr)
-    calls = [a.kernel_call_batches(arr) for a in algorithms]
-    return flops, calls
+    """The codegen hot loop: shared compiled FLOP evaluators."""
+    return batch_flops(algorithms, arr)
 
 
 def _best_of(fn, *args):
@@ -98,12 +87,8 @@ def test_codegen_batch_evaluators_speedup(run_once, fig_config):
     print()
     total_interpreted = total_generated = 0.0
     for family, algorithms, arr in cases:
-        interpreted_s, (flops_i, calls_i) = _best_of(
-            _interpreted, algorithms, arr
-        )
-        generated_s, (flops_g, calls_g) = _best_of(
-            _generated, algorithms, arr
-        )
+        interpreted_s, flops_i = _best_of(_interpreted, algorithms, arr)
+        generated_s, flops_g = _best_of(_generated, algorithms, arr)
         total_interpreted += interpreted_s
         total_generated += generated_s
         speedup = interpreted_s / generated_s
@@ -111,13 +96,8 @@ def test_codegen_batch_evaluators_speedup(run_once, fig_config):
             f"{family:<10} interpreted {interpreted_s * 1e3:7.2f}ms   "
             f"codegen {generated_s * 1e3:6.2f}ms   speedup {speedup:5.2f}x"
         )
-        # Exact agreement: same FLOP matrix, same call batches.
+        # Exact agreement: the same FLOP matrix.
         assert flops_g.tolist() == flops_i.tolist()
-        for batches_g, batches_i in zip(calls_g, calls_i):
-            for got, want in zip(batches_g, batches_i):
-                assert got.kernel is want.kernel
-                assert got.reads_previous == want.reads_previous
-                assert np.array_equal(got.dims, want.dims)
 
     total = total_interpreted / total_generated
     print(

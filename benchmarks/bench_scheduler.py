@@ -40,6 +40,7 @@ from repro.expressions.compiler import compile_add_plans
 from repro.expressions.codegen import compiled_plan
 from repro.expressions.ir import AddExpr, Leaf
 from repro.expressions.registry import get_expression
+from repro.kernels.types import batch_kernel_calls
 from repro.machine.presets import paper_machine
 
 N_INSTANCES = 25
@@ -96,7 +97,9 @@ def _per_call_loop(machine, calls, context_base, measured, predicted, bases):
         if measured:
             if previous is not None and call.reads_previous:
                 base = base * (
-                    1.0 + machine.interference_penalty_batch(previous, call)
+                    1.0 + machine.interference_penalty_batch(
+                        previous.kernel, previous.dims, call.kernel, call.dims
+                    )
                 )
             measured_total = measured_total + np.median(
                 base[:, None] * factors, axis=1
@@ -148,7 +151,11 @@ def test_scheduler_measurement_and_fusion_speedup(run_once, fig_config):
         expression = get_expression(family)
         arr = _instances_matrix(expression, fig_config.seed + 47)
         algorithms = expression.algorithms()
-        cases = [(a.name, a.kernel_call_batches(arr)) for a in algorithms]
+        columns = tuple(arr[:, i] for i in range(arr.shape[1]))
+        cases = [
+            (a.name, batch_kernel_calls(a.kernel_calls(columns), len(arr)))
+            for a in algorithms
+        ]
         fused = (
             arr,
             [a.codegen.plan.steps for a in algorithms],

@@ -45,7 +45,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.backends.base import Backend
-from repro.expressions.base import Algorithm
+from repro.expressions.base import Algorithm, instance_matrix
 from repro.kernels.types import KernelName
 from repro.machine.machine import MachineModel
 
@@ -170,7 +170,8 @@ class SimulatedBackend(Backend):
         Per expression, the instance ids are looked up once and every
         algorithm's memo column is gathered.  The rows any of them
         lacks are computed in one machine call, over the union of the
-        missing rows, for each algorithm missing at least one.  The
+        missing rows, for each algorithm missing at least one.  Rows of
+        the wrong width for an expression are refused.  The
         model is deterministic, so rows rewritten that way get the
         bits they already held.  Only a measurement gives rows ids; it
         fills both columns.  A prediction fills the predicted column
@@ -183,6 +184,7 @@ class SimulatedBackend(Backend):
             by_expression.setdefault(algorithm.expression, []).append(j)
         keys = _row_keys(arr)
         for expression, columns in by_expression.items():
+            instance_matrix([algorithms[columns[0]]], arr)  # width check
             memo = self._algorithm_memos.get(expression)
             if memo is None:
                 memo = self._algorithm_memos[expression] = _Memo(2)

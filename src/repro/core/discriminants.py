@@ -22,7 +22,7 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from repro.backends.base import Backend
-from repro.expressions.base import Algorithm
+from repro.expressions.base import Algorithm, instance_matrix
 from repro.kernels.types import KernelName
 from repro.profiles.benchmark import Profile
 
@@ -30,20 +30,6 @@ from repro.profiles.benchmark import Profile
 #: a request's slots always share one call, while a 5,000-row batch of
 #: sum4's 20 GEMM slots makes four and holds ~5 MB, not ~15 MB.
 _STACKED_ROWS = 32768
-
-
-def _instance_matrix(algorithms: Sequence[Algorithm], instances) -> np.ndarray:
-    """``instances`` as an int64 matrix, refused unless as wide as the
-    algorithms' expression takes them."""
-    arr = np.asarray(instances, dtype=np.int64)
-    if algorithms and len(arr):
-        plan = algorithms[0].codegen.plan
-        if arr.ndim != 2 or arr.shape[1] != plan.n_dims:
-            raise ValueError(
-                f"{plan.expression} takes {plan.n_dims} dims per instance, "
-                f"got instances of shape {arr.shape}"
-            )
-    return arr
 
 
 class Discriminant:
@@ -72,7 +58,7 @@ class MinFlopsDiscriminant(Discriminant):
     def select(
         self, algorithms: Sequence[Algorithm], instance: Sequence[int]
     ) -> int:
-        _instance_matrix(algorithms, [instance])
+        instance_matrix(algorithms, [instance])
         flop_counts = [int(a.flops(instance)) for a in algorithms]
         return flop_counts.index(min(flop_counts))
 
@@ -83,7 +69,7 @@ class MinFlopsDiscriminant(Discriminant):
     ) -> List[int]:
         from repro.core.classify import batch_flops
 
-        arr = _instance_matrix(algorithms, instances)
+        arr = instance_matrix(algorithms, instances)
         return np.argmin(batch_flops(algorithms, arr), axis=1).tolist()
 
 
@@ -164,7 +150,7 @@ class ProfiledTimeDiscriminant(_ProfileMixin, Discriminant):
     def select(
         self, algorithms: Sequence[Algorithm], instance: Sequence[int]
     ) -> int:
-        _instance_matrix(algorithms, [instance])
+        instance_matrix(algorithms, [instance])
         times = [self.predicted_time(a, instance) for a in algorithms]
         return times.index(min(times))
 
@@ -175,7 +161,7 @@ class ProfiledTimeDiscriminant(_ProfileMixin, Discriminant):
     ) -> List[int]:
         if len(instances) == 0:
             return []
-        arr = _instance_matrix(algorithms, instances)
+        arr = instance_matrix(algorithms, instances)
         times = self.predicted_times_matrix(algorithms, arr)
         return np.argmin(times, axis=1).tolist()
 
@@ -202,7 +188,7 @@ class FlopsProfileHybrid(_ProfileMixin, Discriminant):
     def select(
         self, algorithms: Sequence[Algorithm], instance: Sequence[int]
     ) -> int:
-        _instance_matrix(algorithms, [instance])
+        instance_matrix(algorithms, [instance])
         flop_counts = [int(a.flops(instance)) for a in algorithms]
         cutoff = min(flop_counts) * (1.0 + self.margin)
         shortlist = [
@@ -225,7 +211,7 @@ class FlopsProfileHybrid(_ProfileMixin, Discriminant):
             return []
         from repro.core.classify import batch_flops
 
-        arr = _instance_matrix(algorithms, instances)
+        arr = instance_matrix(algorithms, instances)
         flops = batch_flops(algorithms, arr)
         cutoff = flops.min(axis=1) * (1.0 + self.margin)
         shortlisted = flops <= cutoff[:, None]
@@ -252,7 +238,7 @@ class BenchmarkDiscriminant(Discriminant):
     def select(
         self, algorithms: Sequence[Algorithm], instance: Sequence[int]
     ) -> int:
-        _instance_matrix(algorithms, [instance])
+        instance_matrix(algorithms, [instance])
         times = [
             self.backend.predict_time(a, instance) for a in algorithms
         ]
@@ -266,6 +252,6 @@ class BenchmarkDiscriminant(Discriminant):
         # One matrix call so the backend can dedupe identical
         # (kernel, dims) benchmarks across plans (see
         # Backend.predict_times_matrix).
-        arr = _instance_matrix(algorithms, instances)
+        arr = instance_matrix(algorithms, instances)
         times = self.backend.predict_times_matrix(algorithms, arr)
         return np.argmin(times, axis=1).tolist()

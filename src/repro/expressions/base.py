@@ -2,10 +2,13 @@
 
 An *expression* is a target computation (e.g. ``A B C D`` or
 ``A Aᵀ B``); an *algorithm* is one mathematically equivalent way to
-evaluate it as a sequence of BLAS kernel calls.  The FLOP count of an
-algorithm is a polynomial in the instance dims, so the same
-``kernel_calls`` builder serves numeric evaluation, the simulated
-machine, and the symbolic analysis in :mod:`repro.core.symbolic`.
+evaluate it as a sequence of BLAS kernel calls.  Its plan's steps
+(``Plan.steps``: kernel, instance columns, ``reads_previous``) are
+that sequence for every instance at once; the simulated machine and
+the profile discriminants read them over an ``(n, n_dims)`` instance
+matrix.  The FLOP count is a polynomial in the instance dims, so the
+interpreted ``kernel_calls`` builder serves both numeric evaluation
+and the symbolic analysis in :mod:`repro.core.symbolic`.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from typing import Any, Callable, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.kernels.types import KernelCall, KernelCallBatch
+from repro.kernels.types import KernelCall
 
 #: Builds the kernel-call sequence for a concrete (or symbolic) instance.
 CallsBuilder = Callable[[Sequence[Any]], Tuple[KernelCall, ...]]
@@ -61,14 +64,26 @@ class Algorithm:
         """Exact ``(n,)`` int64 FLOPs over an ``(n, n_dims)`` int64 matrix."""
         return self.codegen.flops_fn()(instances_matrix)
 
-    def kernel_call_batches(
-        self, instances_matrix: np.ndarray
-    ) -> Tuple[KernelCallBatch, ...]:
-        """One :class:`KernelCallBatch` per call slot over a batch."""
-        return self.codegen.calls_fn()(instances_matrix)
-
     def execute(self, operands: Sequence[np.ndarray]) -> np.ndarray:
         return self.codegen.execute(operands)
+
+
+def instance_matrix(algorithms: Sequence[Algorithm], instances) -> np.ndarray:
+    """``instances`` as an int64 matrix, refused unless as wide as the
+    algorithms' expression takes them.
+
+    A plan's steps read instance columns by index, so a wider row would
+    silently lose its extra dims and a narrower one fail in NumPy.
+    """
+    arr = np.asarray(instances, dtype=np.int64)
+    if algorithms and len(arr):
+        plan = algorithms[0].codegen.plan
+        if arr.ndim != 2 or arr.shape[1] != plan.n_dims:
+            raise ValueError(
+                f"{plan.expression} takes {plan.n_dims} dims per instance, "
+                f"got instances of shape {arr.shape}"
+            )
+    return arr
 
 
 class Expression:

@@ -1,19 +1,14 @@
 """Per-plan codegen: specialized batch evaluators, compiled once.
 
-The study hot loop evaluates every plan's FLOP polynomial and
-kernel-call list millions of times; interpreting the ``Plan`` step
-list per batch pays Python dispatch for work that is fixed at compile
-time.  This module emits — per *plan structure* — three specialized
-functions as Python source and ``compile()``s each exactly once:
+The study hot loop evaluates every plan's FLOP polynomial millions of
+times; interpreting the ``Plan`` step list per batch pays Python
+dispatch for work that is fixed at compile time.  This module emits —
+per *plan structure* — two specialized functions as Python source and
+``compile()``s each exactly once:
 
 * a **batch FLOP evaluator**: the step list collapsed into one
   closed-form NumPy column expression (constants folded, common
   factors extracted by :meth:`repro.expressions.shapes.SizeExpr.source`);
-* a **kernel-call-batch builder**: shape indices resolved at codegen
-  time into a single fancy-index gather plus per-call column slices,
-  with :class:`~repro.kernels.types.KernelCallBatch` objects built
-  through the trusted-constructor path (the emitted shapes are correct
-  by construction, so the per-call validation is skipped);
 * a **NumPy/BLAS executor**: the step loop unrolled into straight-line
   calls of the same :mod:`repro.expressions.blas` wrappers in the same
   order as ``Plan.execute``, with temp-buffer slots preassigned by
@@ -25,10 +20,13 @@ functions as Python source and ``compile()``s each exactly once:
 
 These are the only runtime path.  The interpreter (``Plan.execute``,
 ``Plan.flops``/``kernel_calls`` and ``batch_kernel_calls``) is the
-oracle tests and micro-benches compare them against.
+oracle tests and micro-benches compare them against.  The machine and
+the profiles need no generated code for an algorithm's calls: they
+read ``Plan.steps`` (kernel, instance columns, ``reads_previous``)
+directly.
 
 Compiled code is cached two ways: per structural *plan signature*
-(CSE-equal plans — identical leaves and steps — share all three
+(CSE-equal plans — identical leaves and steps — share both
 functions) and, for the FLOP evaluator, per canonical FLOP polynomial
 (plans that differ only in association share one evaluator object,
 which lets ``core.classify.batch_flops`` dedupe whole evaluations by
@@ -38,8 +36,8 @@ Adding a kernel: teach the IR/compiler its lowering, then register one
 line in :data:`EXECUTOR_EMITTERS` mapping the new
 :class:`~repro.kernels.types.KernelName` to a function
 ``(plan, step, ref_src) -> "RHS source"`` (see the existing five).
-The FLOP and call builders need nothing — they are derived from the
-kernel's arity and FLOP formula.
+The FLOP evaluator needs nothing — it is derived from the kernel's
+FLOP formula.
 """
 
 from __future__ import annotations
@@ -52,7 +50,7 @@ from repro.expressions import blas
 from repro.expressions.ir import AddExpr
 from repro.expressions.scheduler import PlanDecisions, schedule_decisions
 from repro.expressions.shapes import SizeExpr, dim_symbols
-from repro.kernels.types import KernelCallBatch, KernelName
+from repro.kernels.types import KernelName
 
 #: Plan signature → compiled :class:`PlanCode`.
 _PLAN_CACHE: Dict[tuple, "PlanCode"] = {}
@@ -65,7 +63,6 @@ _STATS = {
     "plan_cache_hits": 0,
     "flops_fns_shared": 0,
     "flops_batches": 0,
-    "call_batches": 0,
 }
 
 
@@ -78,7 +75,6 @@ def codegen_stats() -> dict:
         "flops_functions": len(_FLOPS_FNS),
         "flops_fns_shared": _STATS["flops_fns_shared"],
         "flops_batches": _STATS["flops_batches"],
-        "call_batches": _STATS["call_batches"],
     }
 
 
@@ -165,45 +161,6 @@ def _emit_flops_source(poly: SizeExpr) -> str:
             f"    return _np.full(arr.shape[0], {constant}, dtype=_np.int64)"
         )
     return "\n".join(lines) + "\n"
-
-
-def _emit_calls_source(plan) -> Tuple[str, dict]:
-    """KernelCallBatch builder: one gather, per-call slices, trusted init.
-
-    All step dims are gathered with a single fancy index; each call
-    slot's ``(n, arity)`` dims matrix is then a strided column slice
-    of the gathered block.  The batches are assembled through
-    ``object.__new__`` plus direct ``__dict__`` stores — the frozen
-    dataclass's validated constructor costs ~5× as much per call and
-    can only re-check shapes this emitter already fixed.
-    """
-    flat_dims = [i for step in plan.steps for i in step.dims]
-    namespace: dict = {
-        "_new": object.__new__,
-        "_KCB": KernelCallBatch,
-        "_IDX": np.asarray(flat_dims, dtype=np.intp),
-    }
-    lines = ["def calls_batch(arr):", "    d = arr[:, _IDX]"]
-    offset = 0
-    names: List[str] = []
-    for s, step in enumerate(plan.steps):
-        arity = len(step.dims)
-        kernel_name = f"_K_{step.kernel.name}"
-        namespace[kernel_name] = step.kernel
-        lines.extend(
-            [
-                f"    b{s} = _new(_KCB)",
-                f"    x = b{s}.__dict__",
-                f"    x['kernel'] = {kernel_name}",
-                f"    x['dims'] = d[:, {offset}:{offset + arity}]",
-                f"    x['reads_previous'] = {step.reads_previous!r}",
-            ]
-        )
-        names.append(f"b{s}")
-        offset += arity
-    trailing = "," if len(names) == 1 else ""
-    lines.append(f"    return ({', '.join(names)}{trailing})")
-    return "\n".join(lines) + "\n", namespace
 
 
 def _emit_syrk(plan, step, ref_src) -> str:
@@ -345,19 +302,17 @@ def _emit_execute_source(plan, decisions: PlanDecisions) -> Tuple[str, dict]:
 
 
 class PlanCode:
-    """The three compiled functions (and their source) of one plan."""
+    """The two compiled functions (and their source) of one plan."""
 
-    __slots__ = ("flops", "calls", "execute", "source")
+    __slots__ = ("flops", "execute", "source")
 
     def __init__(
         self,
         flops: Callable[[np.ndarray], np.ndarray],
-        calls: Callable[[np.ndarray], Tuple[KernelCallBatch, ...]],
         execute: Callable,
         source: Dict[str, str],
     ) -> None:
         self.flops = flops
-        self.calls = calls
         self.execute = execute
         self.source = source
 
@@ -371,8 +326,6 @@ def compiled_plan(plan) -> PlanCode:
         return code
     _STATS["plans_compiled"] += 1
     flops_fn, flops_source = _flops_entry(plan)
-    calls_source, calls_namespace = _emit_calls_source(plan)
-    calls_fn = _compile_function(calls_source, "calls_batch", calls_namespace)
     execute_source, execute_namespace = _emit_execute_source(
         plan, schedule_decisions(plan)
     )
@@ -381,13 +334,8 @@ def compiled_plan(plan) -> PlanCode:
     )
     code = PlanCode(
         flops_fn,
-        calls_fn,
         execute_fn,
-        {
-            "flops": flops_source,
-            "calls": calls_source,
-            "execute": execute_source,
-        },
+        {"flops": flops_source, "execute": execute_source},
     )
     _PLAN_CACHE[signature] = code
     return code
@@ -415,14 +363,10 @@ class PlanCodegen:
         _STATS["flops_batches"] += 1
         return self._resolve().flops
 
-    def calls_fn(self) -> Callable[[np.ndarray], Tuple[KernelCallBatch, ...]]:
-        _STATS["call_batches"] += 1
-        return self._resolve().calls
-
     def execute(self, operands) -> np.ndarray:
         return self._resolve().execute(operands)
 
     @property
     def source(self) -> Dict[str, str]:
-        """Emitted source of all three functions (docs/debugging)."""
+        """Emitted source of both functions (docs/debugging)."""
         return self._resolve().source

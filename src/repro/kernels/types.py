@@ -1,4 +1,4 @@
-"""Kernel names and call descriptors.
+"""Kernel names, call descriptors and call footprints.
 
 The paper's two expressions decompose into exactly three BLAS-3
 kernels: GEMM (general matrix product), SYRK (symmetric rank-k
@@ -100,9 +100,8 @@ class KernelCallBatch:
 
     ``dims`` is an ``(n, arity)`` int64 matrix: row ``i`` holds the
     dims the slot's :class:`KernelCall` would take at instance ``i``.
-    All derived quantities are polynomials in the dims applied
-    columnwise, so ``flops`` agrees exactly with the per-instance
-    :attr:`KernelCall.flops`.
+    It is the interpreter's batch form (:func:`batch_kernel_calls`),
+    the oracle that tests and benchmarks hold ``Plan.steps`` to.
     """
 
     kernel: KernelName
@@ -132,33 +131,30 @@ class KernelCallBatch:
             reads_previous=call.reads_previous,
         )
 
-    @property
-    def flops(self) -> np.ndarray:
-        from repro.kernels.flops import kernel_flops_batch
 
-        return kernel_flops_batch(self.kernel, self.dims)
+def operand_elements(kernel: KernelName, dims: np.ndarray) -> np.ndarray:
+    """Per-instance matrix elements a call touches (inputs + output).
 
-    def operand_elements(self) -> np.ndarray:
-        """Per-instance matrix elements touched (inputs + output)."""
-        d = self.dims
-        if self.kernel is KernelName.GEMM:
-            m, n, k = d[:, 0], d[:, 1], d[:, 2]
-            return m * k + k * n + m * n
-        if self.kernel is KernelName.SYRK:
-            n, k = d[:, 0], d[:, 1]
-            return n * k + n * n
-        if self.kernel is KernelName.ADD:
-            m, n = d[:, 0], d[:, 1]
-            return m * n + m * n + m * n
-        m, n = d[:, 0], d[:, 1]  # SYMM / TRSM
-        return m * m + m * n + m * n
+    ``dims`` is an ``(n, arity)`` matrix in ``kernel``'s convention.
+    """
+    if kernel is KernelName.GEMM:
+        m, n, k = dims[:, 0], dims[:, 1], dims[:, 2]
+        return m * k + k * n + m * n
+    if kernel is KernelName.SYRK:
+        n, k = dims[:, 0], dims[:, 1]
+        return n * k + n * n
+    if kernel is KernelName.ADD:
+        m, n = dims[:, 0], dims[:, 1]
+        return m * n + m * n + m * n
+    m, n = dims[:, 0], dims[:, 1]  # SYMM / TRSM
+    return m * m + m * n + m * n
 
-    def output_elements(self) -> np.ndarray:
-        """Per-instance elements of the matrix this slot writes."""
-        d = self.dims
-        if self.kernel is KernelName.SYRK:
-            return d[:, 0] * d[:, 0]
-        return d[:, 0] * d[:, 1]  # GEMM / SYMM / ADD / TRSM
+
+def output_elements(kernel: KernelName, dims: np.ndarray) -> np.ndarray:
+    """Per-instance elements of the matrix a call writes."""
+    if kernel is KernelName.SYRK:
+        return dims[:, 0] * dims[:, 0]
+    return dims[:, 0] * dims[:, 1]  # GEMM / SYMM / ADD / TRSM
 
 
 def batch_kernel_calls(

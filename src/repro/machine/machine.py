@@ -77,15 +77,12 @@ bits the row would compute.  Noise is elementwise in the ids, and
 base times and interference in the dims, so grouping plans into
 passes and rows into blocks changes no bit either.  Each plan's total
 is still ``0.0 + call 0 + call 1 + ...`` in call order; the adds only
-interleave the plans.  The call-batch forms (``measure_algorithms_batch``
-and the one-plan and scalar forms) are adapters: their instance matrix
-is the call batches' distinct dims columns side by side, one step per
-call, in fresh lists, so their tables compile on every call.
+interleave the plans.
 """
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import Counter
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -93,10 +90,9 @@ import numpy as np
 from repro.kernels.flops import kernel_flops_batch
 from repro.kernels.types import (
     KERNEL_ARITY,
-    KernelCall,
-    KernelCallBatch,
     KernelName,
-    batch_kernel_calls,
+    operand_elements,
+    output_elements,
 )
 from repro.machine.noise import NoiseModel, fold, fold_columns
 from repro.machine.spec import MachineSpec
@@ -153,38 +149,6 @@ def _as_dims_matrix(kernel: KernelName, dims) -> np.ndarray:
             f"got shape {arr.shape!r}"
         )
     return arr
-
-
-#: A call as the machine pass reads it from a plan's steps.
-_Step = namedtuple("_Step", "kernel dims reads_previous")
-
-
-def _as_steps(plans: Sequence[Sequence[KernelCallBatch]]):
-    """``(instances, steps)`` of call batches, as the pass reads plans.
-
-    The instance matrix holds each distinct dims column of the call
-    batches once and each call is one step over its columns, so equal
-    calls share a slot, as an expression's steps do.
-    """
-    if not all(plans):
-        raise ValueError("algorithm batch needs at least one call")
-    n = plans[0][0].n if plans else 0
-    column_of: dict = {}
-    steps = []
-    for calls in plans:
-        steps.append([])
-        for call in calls:
-            if call.n != n:
-                raise ValueError(f"call batches span {call.n} and {n} rows")
-            dims = tuple(
-                column_of.setdefault(c.tobytes(), (len(column_of), c))[0]
-                for c in call.dims.T
-            )
-            steps[-1].append(_Step(call.kernel, dims, call.reads_previous))
-    instances = np.empty((n, len(column_of)), dtype=np.int64)
-    for j, column in column_of.values():
-        instances[:, j] = column
-    return instances, steps
 
 
 class _CallTable:
@@ -318,17 +282,16 @@ class _Block:
                 )
         self.interfered = None
         if interfere and table.pairs:
-            calls = {}
-            for slot in {slot for pair in table.pairs for slot in pair}:
-                kernel, columns = table.slots[slot]
-                calls[slot] = KernelCallBatch(kernel, rows[:, columns])
             self.interfered = np.empty((len(table.pairs), n))
             for q, (producer, consumer) in enumerate(table.pairs):
                 base = self.bases[offsets[consumer]:offsets[consumer + 1]]
                 if self.runs is not None:
                     base = base[self.runs[consumer]]
+                producer_kernel, producer_columns = table.slots[producer]
+                consumer_kernel, consumer_columns = table.slots[consumer]
                 penalty = machine.interference_penalty_batch(
-                    calls[producer], calls[consumer]
+                    producer_kernel, rows[:, producer_columns],
+                    consumer_kernel, rows[:, consumer_columns],
                 )
                 np.multiply(base, 1.0 + penalty, out=self.interfered[q])
 
@@ -418,21 +381,29 @@ class MachineModel:
         return float(self.kernel_seconds_batch(kernel, [tuple(dims)])[0])
 
     def interference_penalty_batch(
-        self, producer: KernelCallBatch, consumer: KernelCallBatch
+        self,
+        producer: KernelName,
+        producer_dims,
+        consumer: KernelName,
+        consumer_dims,
     ) -> np.ndarray:
         """Per-instance consumer slowdown from the producer's residue.
 
+        ``producer_dims`` and ``consumer_dims`` are the two calls'
+        ``(n, arity)`` dims matrices, row by row the same instances.
         Scales with how much of the private cache the consumer's
         working set plus the producer's just-written residue occupy.
         """
+        producer_dims = _as_dims_matrix(producer, producer_dims)
+        consumer_dims = _as_dims_matrix(consumer, consumer_dims)
         if not self.cache_effects:
-            return np.zeros(consumer.n)
-        ws_bytes = 8 * consumer.operand_elements()
-        residue_bytes = 8 * producer.output_elements()
+            return np.zeros(consumer_dims.shape[0])
+        ws_bytes = 8 * operand_elements(consumer, consumer_dims)
+        residue_bytes = 8 * output_elements(producer, producer_dims)
         occupancy = np.minimum(
             1.0, (ws_bytes + residue_bytes) / self.spec.l2_bytes
         )
-        return _INTERFERENCE[producer.kernel] * occupancy
+        return _INTERFERENCE[producer] * occupancy
 
     # ------------------------------------------------------------------
     # Measurements (noise + median-of-reps)
@@ -541,9 +512,11 @@ class MachineModel:
         is one algorithm's steps, as ``Plan.steps`` holds them: each
         has a ``kernel``, ``dims`` (instance columns) and
         ``reads_previous``.  ``contexts[p]`` (typically the algorithm
-        name) is its noise stream.  ``predicted``, when given, is a
-        ``(P, n)`` float64 array that receives
-        :meth:`predict_plans_batch`'s result from the same noise draw.
+        name) is its noise stream: two algorithms sharing a kernel call
+        still time it independently, as on real hardware.
+        ``predicted``, when given, is a ``(P, n)`` float64 array that
+        receives :meth:`predict_plans_batch`'s result from the same
+        noise draw.
         """
         measured = np.empty((len(plans), len(instances)))
         self._plans_batch(instances, plans, contexts, measured, predicted)
@@ -552,10 +525,19 @@ class MachineModel:
     def predict_plans_batch(
         self, instances, plans: Sequence[Sequence], contexts: Sequence[str]
     ) -> np.ndarray:
-        """``(P, n)`` sums of per-kernel times (see the measured form)."""
+        """``(P, n)`` sums of per-kernel times (see the measured form).
+
+        Experiment 3's benchmark predictor: the same noise streams as
+        the measurement without the inter-kernel interference, so the
+        prediction error isolates exactly the cache effects.
+        """
         predicted = np.empty((len(plans), len(instances)))
         self._plans_batch(instances, plans, contexts, None, predicted)
         return predicted
+
+    # Kept only because ``benchmarks/pipeline/tracing.py`` wraps the
+    # method under this name; nothing in the program calls it.
+    measure_algorithm_batch = measure_plans_batch
 
     def _plans_batch(
         self,
@@ -668,82 +650,3 @@ class MachineModel:
                     totals += addends[calls]
                 else:
                     totals[with_k] += addends[calls]
-
-    def measure_algorithms_batch(
-        self,
-        plans: Sequence[Sequence[KernelCallBatch]],
-        contexts: Sequence[str],
-        predicted: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """``(P, n)`` median measured times of P whole-algorithm runs.
-
-        ``plans[p]`` is one algorithm's call batches, all spanning the
-        same n rows, measured as :meth:`measure_plans_batch` measures
-        steps; ``contexts`` and ``predicted`` are as there.
-        """
-        instances, steps = _as_steps(plans)
-        return self.measure_plans_batch(
-            instances, steps, contexts, predicted=predicted
-        )
-
-    def predict_algorithms_batch(
-        self,
-        plans: Sequence[Sequence[KernelCallBatch]],
-        contexts: Sequence[str],
-    ) -> np.ndarray:
-        """``(P, n)`` sums of per-kernel times (see the single-plan form)."""
-        return self.predict_plans_batch(*_as_steps(plans), contexts)
-
-    def measure_algorithm_batch(
-        self,
-        calls: Sequence[KernelCallBatch],
-        context: str = "",
-        predicted: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Median measured times of whole multi-kernel algorithm runs.
-
-        ``context`` (typically the algorithm name) decorrelates the
-        noise of these runs from every other measurement: two
-        algorithms sharing an identical kernel call still time it
-        independently, as they would on real hardware.
-
-        ``predicted``, when given, is an ``(n,)`` float64 array that
-        receives :meth:`predict_algorithm_batch`'s result for the same
-        calls, computed from the same noise draw.
-        """
-        return self.measure_algorithms_batch(
-            [calls],
-            [context],
-            predicted=None if predicted is None else predicted[None],
-        )[0]
-
-    def predict_algorithm_batch(
-        self, calls: Sequence[KernelCallBatch], context: str = ""
-    ) -> np.ndarray:
-        """Sums of per-kernel times (Experiment 3's benchmark predictor).
-
-        Uses the same noise stream as :meth:`measure_algorithm_batch`
-        so the prediction error isolates exactly what isolated
-        benchmarks cannot see — the inter-kernel cache effects.
-        """
-        return self.predict_algorithms_batch([calls], [context])[0]
-
-    def measure_algorithm(
-        self, calls: Sequence[KernelCall], context: str = ""
-    ) -> float:
-        """Median measured time of a whole multi-kernel algorithm run."""
-        if not calls:
-            return 0.0
-        return float(
-            self.measure_algorithm_batch(batch_kernel_calls(calls, 1), context)[0]
-        )
-
-    def predict_algorithm(
-        self, calls: Sequence[KernelCall], context: str = ""
-    ) -> float:
-        """Sum of per-kernel times for one instance (see batch variant)."""
-        if not calls:
-            return 0.0
-        return float(
-            self.predict_algorithm_batch(batch_kernel_calls(calls, 1), context)[0]
-        )

@@ -1,5 +1,6 @@
 """Backends: simulated determinism and real-BLAS correctness."""
 
+import numpy as np
 import pytest
 
 from repro.backends.real import RealBlasBackend
@@ -42,6 +43,41 @@ def test_quickstart_instance_is_anomalous():
         "aatb-2:syrk+copy+gemm",
     }
     assert all("gemm" in name for name in verdict.fastest)
+
+
+@pytest.mark.parametrize(
+    "method",
+    (
+        "time_algorithm",
+        "time_algorithms",
+        "time_algorithms_matrix",
+        "predict_time",
+        "predict_times",
+        "predict_times_matrix",
+    ),
+)
+@pytest.mark.parametrize(
+    "instance", [(100, 200, 300, 400), (100, 200)], ids=("wide", "narrow")
+)
+def test_simulated_backend_refuses_instances_of_the_wrong_width(
+    method, instance
+):
+    """A plan's steps read instance columns by index, so a 4-dim aatb
+    row would be timed as its first three dims; both widths are refused."""
+    algorithm = get_expression("aatb").algorithms()[0]
+    backend = SimulatedBackend(paper_machine(seed=0))
+    call = getattr(backend, method)
+
+    def arguments(row):
+        if method.endswith("_matrix"):
+            return [algorithm], [row]
+        if method in ("time_algorithm", "predict_time"):
+            return algorithm, row
+        return algorithm, [row]
+
+    with pytest.raises(ValueError, match="aatb takes 3 dims"):
+        call(*arguments(instance))
+    assert np.all(call(*arguments((100, 200, 300))) > 0)
 
 
 def test_total_efficiency_bounded_by_one():

@@ -28,7 +28,7 @@ from repro.experiments.regions import (
     explore_regions,
 )
 from repro.expressions.registry import get_expression, known_expressions
-from repro.kernels.types import KernelName, batch_kernel_calls
+from repro.kernels.types import KernelName
 from repro.machine.presets import (
     no_cache_machine,
     no_variants_machine,
@@ -98,29 +98,19 @@ def test_algorithm_batches_match_scalar(preset, seed, aatb, chain):
     for expression, count in ((aatb, 12), (chain, 8)):
         instances = _instances(expression.n_dims, count, seed=seed)
         arr = np.asarray(instances, dtype=np.int64)
-        columns = tuple(arr[:, i] for i in range(arr.shape[1]))
-        for algorithm in expression.algorithms():
-            calls = batch_kernel_calls(
-                algorithm.kernel_calls(columns), len(instances)
-            )
-            measured = machine.measure_algorithm_batch(
-                calls, context=algorithm.name
-            )
-            predicted = machine.predict_algorithm_batch(
-                calls, context=algorithm.name
-            )
-            assert measured.tolist() == [
-                machine.measure_algorithm(
-                    algorithm.kernel_calls(inst), context=algorithm.name
-                )
-                for inst in instances
-            ]
-            assert predicted.tolist() == [
-                machine.predict_algorithm(
-                    algorithm.kernel_calls(inst), context=algorithm.name
-                )
-                for inst in instances
-            ]
+        algorithms = expression.algorithms()
+        steps = [a.codegen.plan.steps for a in algorithms]
+        names = [a.name for a in algorithms]
+        measured = machine.measure_plans_batch(arr, steps, names)
+        predicted = machine.predict_plans_batch(arr, steps, names)
+        for i in range(len(instances)):
+            row = arr[i:i + 1]
+            assert measured[:, i].tolist() == machine.measure_plans_batch(
+                row, steps, names
+            )[:, 0].tolist()
+            assert predicted[:, i].tolist() == machine.predict_plans_batch(
+                row, steps, names
+            )[:, 0].tolist()
 
 
 # ----------------------------------------------------------------------

@@ -1,16 +1,16 @@
 """Plan codegen equivalence: generated evaluators ≡ the interpreter.
 
-The generated functions are the only runtime path; the interpreter is
-the oracle.  For every registered family (plus ``sum6``, which
-compiles under the cost-guided pruning pass), the per-plan generated
-functions must match it **bit for bit** on seeded instance batches,
-up to the exact-arithmetic bound (:func:`max_exact_dim`):
+The generated functions and the plan steps are the only runtime path;
+the interpreter is the oracle.  For every registered family (plus
+``sum6``, which compiles under the cost-guided pruning pass), they
+must match it **bit for bit** on seeded instance batches, up to the
+exact-arithmetic bound (:func:`max_exact_dim`):
 
 * the batch FLOP evaluator equals the interpreted whole-column
   polynomial evaluation, the :func:`flop_polynomial` oracle and the
   exact Python-int ``algorithm.flops`` of every row;
-* the generated :class:`KernelCallBatch` builder equals
-  ``batch_kernel_calls`` over the interpreted call sequence;
+* each plan step's kernel, ``reads_previous`` and instance columns
+  equal ``batch_kernel_calls`` over the interpreted call sequence;
 * the generated NumPy executor equals ``Plan.execute`` on real
   operands (same BLAS wrappers replayed in the same order).
 """
@@ -104,18 +104,19 @@ def test_codegen_flops_match_interpreter_and_polynomial(family):
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-def test_codegen_call_batches_match_interpreter(family):
+def test_plan_steps_match_interpreted_calls(family):
     expression = get_expression(family)
     for arr in _instance_batches(expression, seed=len(family)):
         for algorithm in expression.algorithms():
-            generated = algorithm.kernel_call_batches(arr)
+            steps = algorithm.codegen.plan.steps
             interpreted = _interpreted_batches(algorithm, arr)
-            assert len(generated) == len(interpreted)
-            for got, want in zip(generated, interpreted):
-                assert got.kernel is want.kernel
-                assert got.reads_previous == want.reads_previous
-                assert got.dims.shape == want.dims.shape
-                assert np.array_equal(got.dims, want.dims)
+            assert len(steps) == len(interpreted)
+            for step, want in zip(steps, interpreted):
+                assert step.kernel is want.kernel
+                assert step.reads_previous == want.reads_previous
+                got = arr[:, step.dims]
+                assert got.shape == want.dims.shape
+                assert np.array_equal(got, want.dims)
 
 
 @pytest.mark.parametrize("family", FAMILIES)

@@ -1,8 +1,10 @@
 """Machine model: determinism, noise statelessness, ablation flags."""
 
+from collections import namedtuple
+
 import pytest
 
-from repro.kernels.types import KernelCall, KernelCallBatch, KernelName
+from repro.kernels.types import KernelName
 from repro.machine.machine import MachineModel
 from repro.machine.noise import NoiseModel
 from repro.machine.presets import (
@@ -11,6 +13,9 @@ from repro.machine.presets import (
     paper_machine,
 )
 from repro.machine.spec import xeon_silver_4210_like
+
+#: A hand-built plan step, read by the machine as ``Plan.steps`` are.
+Step = namedtuple("Step", "kernel dims reads_previous")
 
 
 def test_peak_flops():
@@ -76,44 +81,45 @@ def test_variant_dispatch_flag_removes_the_cliff():
     ) == pytest.approx(with_variants.efficiency(KernelName.SYRK, above))
 
 
-def _one_row(kernel, dims, reads_previous=False):
-    call = KernelCall(kernel, dims, reads_previous=reads_previous)
-    return KernelCallBatch.from_call(call, 1)
-
-
 def test_cache_effects_flag_gates_interference():
-    producer = _one_row(KernelName.SYRK, (400, 400))
-    consumer = _one_row(KernelName.SYMM, (400, 400), reads_previous=True)
+    producer = (KernelName.SYRK, [(400, 400)])
+    consumer = (KernelName.SYMM, [(400, 400)])
     penalty = paper_machine(seed=0).interference_penalty_batch
-    assert penalty(producer, consumer)[0] > 0
+    assert penalty(*producer, *consumer)[0] > 0
     off = no_cache_machine(seed=0).interference_penalty_batch
-    assert off(producer, consumer)[0] == 0.0
+    assert off(*producer, *consumer)[0] == 0.0
 
 
 def test_measured_algorithm_slower_than_prediction_with_cache_effects():
     machine = MachineModel(xeon_silver_4210_like(), reps=1)  # no noise
-    calls = (
-        KernelCall(KernelName.SYRK, (300, 900)),
-        KernelCall(KernelName.SYMM, (300, 500), reads_previous=True),
+    # SYRK(300, 900), then SYMM(300, 500) reading its output.
+    plan = (
+        Step(KernelName.SYRK, (0, 1), False),
+        Step(KernelName.SYMM, (0, 2), True),
     )
-    measured = machine.measure_algorithm(calls, context="x")
-    predicted = machine.predict_algorithm(calls, context="x")
+    instance = [(300, 900, 500)]
+
+    def times(machine):
+        measured = machine.measure_plans_batch(instance, [plan], ["x"])
+        predicted = machine.predict_plans_batch(instance, [plan], ["x"])
+        return measured[0, 0], predicted[0, 0]
+
+    measured, predicted = times(machine)
     assert measured > predicted  # the inter-kernel penalty
     no_cache = MachineModel(
         xeon_silver_4210_like(), reps=1, cache_effects=False
     )
-    assert no_cache.measure_algorithm(calls, context="x") == pytest.approx(
-        no_cache.predict_algorithm(calls, context="x")
-    )
+    measured, predicted = times(no_cache)
+    assert measured == pytest.approx(predicted)
 
 
 def test_interference_scales_with_producer_residue():
     penalty = paper_machine(seed=0).interference_penalty_batch
-    small_producer = _one_row(KernelName.GEMM, (40, 40, 300))
-    big_producer = _one_row(KernelName.GEMM, (300, 300, 40))
-    consumer = _one_row(KernelName.GEMM, (40, 120, 40), reads_previous=True)
-    assert penalty(big_producer, consumer)[0] > penalty(
-        small_producer, consumer
+    small_producer = (KernelName.GEMM, [(40, 40, 300)])
+    big_producer = (KernelName.GEMM, [(300, 300, 40)])
+    consumer = (KernelName.GEMM, [(40, 120, 40)])
+    assert penalty(*big_producer, *consumer)[0] > penalty(
+        *small_producer, *consumer
     )[0]
 
 

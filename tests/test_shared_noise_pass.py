@@ -11,7 +11,9 @@ interference are elementwise, so grouping plans into passes changes
 no bit either.  The differential tests below hold the pass to the
 per-plan formulation, kept here as the reference: separate
 ``np.median(base[:, None] * factors, axis=1)`` passes per call and
-column over the out-of-place noise formula, summed call by call.
+column over the out-of-place noise formula, summed call by call, over
+the interpreter's call batches (``batch_kernel_calls`` of an
+algorithm's ``kernel_calls``).  The machine reads the plans' steps.
 Every comparison is bit equality.
 
 The memo tests check the backend side: a measurement also fills its
@@ -21,7 +23,7 @@ and a matrix call over a partly warm memo equals fresh backends.
 
 import random
 import tracemalloc
-from collections import Counter
+from collections import Counter, namedtuple
 
 import numpy as np
 import pytest
@@ -31,7 +33,12 @@ import repro.machine.machine as machine_module
 from repro.backends.simulated import SimulatedBackend
 from repro.core.searchspace import paper_box
 from repro.expressions.registry import get_expression, known_expressions
-from repro.kernels.types import KERNEL_ARITY, KernelCallBatch, KernelName
+from repro.kernels.types import (
+    KERNEL_ARITY,
+    KernelCallBatch,
+    KernelName,
+    batch_kernel_calls,
+)
 from repro.machine.machine import MachineModel
 from repro.machine.noise import (
     _STREAM_M,
@@ -55,6 +62,9 @@ REPS = range(1, 7)
 #: The preset's own noise, a silent model, and a spike on every rep.
 NOISE_KINDS = ("preset", "silent", "always-spike")
 FAMILIES = known_expressions()
+
+#: A hand-built plan step, read by the machine as ``Plan.steps`` are.
+Step = namedtuple("Step", "kernel dims reads_previous")
 
 
 def reference_factors(noise: NoiseModel, ids, reps: int) -> np.ndarray:
@@ -93,11 +103,27 @@ def reference_totals(machine: MachineModel, calls, context: str):
         predicted = predicted + np.median(base[:, None] * factors, axis=1)
         if previous is not None and call.reads_previous:
             base = base * (
-                1.0 + machine.interference_penalty_batch(previous, call)
+                1.0 + machine.interference_penalty_batch(
+                    previous.kernel, previous.dims, call.kernel, call.dims
+                )
             )
         measured = measured + np.median(base[:, None] * factors, axis=1)
         previous = call
     return measured, predicted
+
+
+def _interpreted_calls(algorithm, arr):
+    """The interpreter's call batches of ``algorithm`` over ``arr``."""
+    columns = tuple(arr[:, i] for i in range(arr.shape[1]))
+    return batch_kernel_calls(algorithm.kernel_calls(columns), arr.shape[0])
+
+
+def _plans(algorithms, arr):
+    """``(name, steps, reference call batches)`` of each algorithm."""
+    return [
+        (a.name, a.codegen.plan.steps, _interpreted_calls(a, arr))
+        for a in algorithms
+    ]
 
 
 def _noise(kind: str, preset_noise: NoiseModel, seed: int) -> NoiseModel:
@@ -170,92 +196,107 @@ def test_factors_match_the_out_of_place_formula(kind):
 def test_shared_pass_matches_separate_median_passes(family, kind):
     expression = get_expression(family)
     arr = _instances(expression.n_dims, 6, seed=len(family))
-    plans = [
-        (algorithm.name, algorithm.kernel_call_batches(arr))
-        for algorithm in expression.algorithms()
-    ]
+    plans = _plans(expression.algorithms(), arr)
     for machine in _machines(kind):
-        for name, calls in plans:
+        for name, steps, calls in plans:
             want_measured, want_predicted = reference_totals(
                 machine, calls, name
             )
-            predicted = np.empty(arr.shape[0])
-            measured = machine.measure_algorithm_batch(
-                calls, context=name, predicted=predicted
+            predicted = np.empty((1, arr.shape[0]))
+            measured = machine.measure_plans_batch(
+                arr, [steps], [name], predicted=predicted
             )
-            assert np.array_equal(measured, want_measured)
-            assert np.array_equal(predicted, want_predicted)
+            assert np.array_equal(measured[0], want_measured)
+            assert np.array_equal(predicted[0], want_predicted)
             assert np.array_equal(
-                machine.measure_algorithm_batch(calls, context=name),
+                machine.measure_plans_batch(arr, [steps], [name])[0],
                 want_measured,
             )
             assert np.array_equal(
-                machine.predict_algorithm_batch(calls, context=name),
+                machine.predict_plans_batch(arr, [steps], [name])[0],
                 want_predicted,
             )
-        _assert_pass_matches_reference(machine, plans)
+        _assert_pass_matches_reference(machine, arr, plans)
 
 
-def _assert_pass_matches_reference(machine, plans):
+def _assert_pass_matches_reference(machine, arr, plans):
     """Each row of the multi-plan forms equals that plan's reference."""
-    names = [name for name, _ in plans]
-    calls = [batches for _, batches in plans]
-    want = [reference_totals(machine, batches, name) for name, batches in plans]
-    predicted = np.empty((len(plans), calls[0][0].n))
-    measured = machine.measure_algorithms_batch(
-        calls, names, predicted=predicted
+    names = [name for name, _, _ in plans]
+    steps = [plan for _, plan, _ in plans]
+    want = [reference_totals(machine, calls, name) for name, _, calls in plans]
+    predicted = np.empty((len(plans), arr.shape[0]))
+    measured = machine.measure_plans_batch(
+        arr, steps, names, predicted=predicted
     )
     assert np.array_equal(measured, np.array([m for m, _ in want]))
     assert np.array_equal(predicted, np.array([q for _, q in want]))
     assert np.array_equal(
-        machine.predict_algorithms_batch(calls, names),
+        machine.predict_plans_batch(arr, steps, names),
         np.array([q for _, q in want]),
     )
 
 
+def _side_by_side(groups):
+    """``(arr, plans)`` of several ``(arr, plans)`` groups of equal rows.
+
+    Each group's instances take their own columns of one matrix, and
+    its steps are shifted to read them.
+    """
+    joined, offset = [], 0
+    for arr, plans in groups:
+        for name, steps, calls in plans:
+            shifted = tuple(
+                Step(s.kernel, tuple(offset + d for d in s.dims),
+                     s.reads_previous)
+                for s in steps
+            )
+            joined.append((name, shifted, calls))
+        offset += arr.shape[1]
+    return np.hstack([arr for arr, _ in groups]), joined
+
+
 def _mixed_plans(n: int):
     """Plans of 2, 3, 4 and 14 calls over the same ``n`` rows."""
-    plans = []
+    groups = []
     for family, take in (("aatb", 2), ("sum8", 2), ("chain4", 2), ("sum3", 2)):
         expression = get_expression(family)
         arr = _instances(expression.n_dims, n, seed=n + len(family))[:n]
-        plans += [
-            (algorithm.name, algorithm.kernel_call_batches(arr))
-            for algorithm in expression.algorithms()[:take]
-        ]
+        groups.append((arr, _plans(expression.algorithms()[:take], arr)))
+    arr, plans = _side_by_side(groups)
     # Interleave long and short plans so every pass pads some of them.
-    return plans[::2] + plans[1::2]
+    return arr, plans[::2] + plans[1::2]
 
 
 def _equal_dims_plans(n: int):
     """Every arity-2 kernel over one dims matrix, in two orders.
 
-    The slots' dims bytes are equal, their kernels (and so their base
+    The slots' columns are equal, their kernels (and so their base
     times and interference) are not.
     """
     rng = np.random.default_rng(n)
     dims = rng.integers(5, 1400, size=(n, 2))
     kernels = (KernelName.SYRK, KernelName.SYMM, KernelName.ADD,
                KernelName.TRSM)
-    return [
-        (
-            f"equal-dims-{order}",
-            tuple(
-                KernelCallBatch(kernel, dims, reads_previous=index > 0)
-                for index, kernel in enumerate(kernels[::step])
-            ),
+    plans = []
+    for order, step in (("forward", 1), ("reverse", -1)):
+        steps = tuple(
+            Step(kernel, (0, 1), index > 0)
+            for index, kernel in enumerate(kernels[::step])
         )
-        for order, step in (("forward", 1), ("reverse", -1))
-    ]
+        calls = [
+            KernelCallBatch(s.kernel, dims, s.reads_previous) for s in steps
+        ]
+        plans.append((f"equal-dims-{order}", steps, calls))
+    return dims, plans
 
 
 @pytest.mark.parametrize("n", (1, 7))
 @pytest.mark.parametrize("kind", NOISE_KINDS)
 def test_pass_over_plans_of_unequal_length_matches_reference(n, kind):
-    plans = _mixed_plans(n) + _equal_dims_plans(n)
-    assert len({len(calls) for _, calls in plans}) == 4
+    arr, plans = _side_by_side([_mixed_plans(n), _equal_dims_plans(n)])
+    assert len({len(steps) for _, steps, _ in plans}) == 4
     for machine in _machines(kind):
-        _assert_pass_matches_reference(machine, plans)
+        _assert_pass_matches_reference(machine, arr, plans)
 
 
 def _record_passes(monkeypatch):
@@ -276,15 +317,12 @@ def test_wide_batch_splits_into_bounded_passes(monkeypatch):
     expression = get_expression("sum3")
     arr = _instances(expression.n_dims, 1500, seed=2)
     assert arr.shape[0] == 3000
-    plans = [
-        (algorithm.name, algorithm.kernel_call_batches(arr))
-        for algorithm in expression.algorithms()
-    ]
+    plans = _plans(expression.algorithms(), arr)
     sizes = _record_passes(monkeypatch)
     template = paper_machine(seed=3)
     for reps in (5, 6):
         machine = MachineModel(template.spec, noise=template.noise, reps=reps)
-        _assert_pass_matches_reference(machine, plans)
+        _assert_pass_matches_reference(machine, arr, plans)
     # 2 plans x 4 slots x 3,000 rows = 24,000 ids fit; 3 plans do not.
     assert sizes == [2, 2] * 4
 
@@ -305,12 +343,12 @@ def test_wide_batch_splits_into_bounded_passes(monkeypatch):
     ],
 )
 def test_pass_bound_counts_padded_ids(bound, want, monkeypatch):
-    plans = _mixed_plans(5)
-    assert [len(calls) for _, calls in plans] == [2, 14, 3, 4, 2, 14, 3, 4]
+    arr, plans = _mixed_plans(5)
+    assert [len(steps) for _, steps, _ in plans] == [2, 14, 3, 4, 2, 14, 3, 4]
     monkeypatch.setattr(machine_module, "_PASS_IDS", bound)
     sizes = _record_passes(monkeypatch)
     machine = paper_machine(seed=1)
-    _assert_pass_matches_reference(machine, plans)
+    _assert_pass_matches_reference(machine, arr, plans)
     assert sizes == want * 2  # measure, then predict
 
 
@@ -331,31 +369,21 @@ def _rays(n_dims: int, rays: int, steps: int, seed: int) -> np.ndarray:
     return rows
 
 
-def _peak_over_outputs(arr, plans, entry):
+def _peak_over_outputs(arr, plans):
     """Traced peak of measuring ``arr`` with sum4's first ``plans``.
 
     Returns ``(peak, outputs)``: ``outputs`` is the ``(P, n)``
-    predicted array the call fills.  ``entry`` is the call-batch
-    adapter (``"calls"``, ``measure_algorithms_batch``) or the steps
-    entry point (``"steps"``, ``measure_plans_batch``).
+    predicted array the call fills.
     """
     algorithms = get_expression("sum4").algorithms()[:plans]
     names = [a.name for a in algorithms]
+    steps = [a.codegen.plan.steps for a in algorithms]
     machine = paper_machine(seed=0)
     predicted = np.empty((len(algorithms), arr.shape[0]))
-    if entry == "calls":
-        batches = [a.kernel_call_batches(arr) for a in algorithms]
-        measure = machine.measure_algorithms_batch
-        args = (batches, names)
-        measure(batches[:1], names[:1])  # warm caches
-    else:
-        steps = [a.codegen.plan.steps for a in algorithms]
-        measure = machine.measure_plans_batch
-        args = (arr, steps, names)
-        measure(arr, steps[:1], names[:1])  # warm caches
+    machine.measure_plans_batch(arr, steps[:1], names[:1])  # warm caches
     tracemalloc.start()
     try:
-        measure(*args, predicted=predicted)
+        machine.measure_plans_batch(arr, steps, names, predicted=predicted)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -374,20 +402,15 @@ def test_pass_memory_is_bounded_by_the_pass_constant():
     expression = get_expression("sum4")
     rng = np.random.default_rng(5)
     arr = rng.integers(5, 1400, size=(5000, expression.n_dims))
-    peak, outputs = _peak_over_outputs(arr, 25, "calls")
+    peak, outputs = _peak_over_outputs(arr, 25)
     assert peak < outputs + 32 * 8 * machine_module._PASS_IDS
 
 
 @pytest.mark.parametrize(
-    "shape, plans, entry",
-    [
-        ("random", 3, "calls"),
-        ("rays", 3, "calls"),
-        ("random", 25, "steps"),
-        ("rays", 25, "steps"),
-    ],
+    "shape, plans",
+    [("random", 3), ("rays", 3), ("random", 25), ("rays", 25)],
 )
-def test_wide_plan_memory_is_bounded_by_row_blocks(shape, plans, entry):
+def test_wide_plan_memory_is_bounded_by_row_blocks(shape, plans):
     """The same bound holds for 20,000 rows, where one plan is wide.
 
     One sum4 plan over 20,000 rows holds 6 x 20,000 = 120,000 padded
@@ -399,7 +422,7 @@ def test_wide_plan_memory_is_bounded_by_row_blocks(shape, plans, entry):
         arr = rng.integers(5, 1400, size=(20000, expression.n_dims))
     else:
         arr = _rays(expression.n_dims, 400, 50, seed=5)
-    peak, outputs = _peak_over_outputs(arr, plans, entry)
+    peak, outputs = _peak_over_outputs(arr, plans)
     assert peak < outputs + 32 * 8 * machine_module._PASS_IDS
 
 
@@ -425,8 +448,7 @@ def test_run_shaped_batches_match_the_per_call_reference(family, kind):
     """Rows gathered from run heads equal their per-call reference.
 
     The reference is rowwise, so one reference over every batch's
-    rows stacked serves them all; each batch is measured on its own,
-    through the steps entry point and the call-batch adapter.
+    rows stacked serves them all; each batch is measured on its own.
     """
     expression = get_expression(family)
     algorithms = expression.algorithms()
@@ -434,7 +456,7 @@ def test_run_shaped_batches_match_the_per_call_reference(family, kind):
     steps = [a.codegen.plan.steps for a in algorithms]
     batches = list(_run_batches(expression.n_dims, len(family)).values())
     stacked = np.concatenate(batches)
-    calls = [a.kernel_call_batches(stacked) for a in algorithms]
+    calls = [_interpreted_calls(a, stacked) for a in algorithms]
     bounds = np.cumsum([0] + [len(batch) for batch in batches])
     for machine in _machines(kind):
         want = [reference_totals(machine, c, n) for c, n in zip(calls, names)]
@@ -452,12 +474,6 @@ def test_run_shaped_batches_match_the_per_call_reference(family, kind):
                 machine.predict_plans_batch(batch, steps, names),
                 want_predicted[:, rows],
             )
-            batch_calls = [a.kernel_call_batches(batch) for a in algorithms]
-            measured = machine.measure_algorithms_batch(
-                batch_calls, names, predicted=predicted
-            )
-            assert np.array_equal(measured, want_measured[:, rows])
-            assert np.array_equal(predicted, want_predicted[:, rows])
 
 
 def test_zero_row_batches_give_empty_totals():
@@ -466,17 +482,13 @@ def test_zero_row_batches_give_empty_totals():
     names = [a.name for a in algorithms]
     arr = np.empty((0, expression.n_dims), dtype=np.int64)
     machine = paper_machine(seed=0)
-    calls = [a.kernel_call_batches(arr) for a in algorithms]
     steps = [a.codegen.plan.steps for a in algorithms]
     predicted = np.empty((len(algorithms), 0))
     for got in (
-        machine.measure_algorithms_batch(calls, names, predicted=predicted),
-        machine.predict_algorithms_batch(calls, names),
         machine.measure_plans_batch(arr, steps, names, predicted=predicted),
         machine.predict_plans_batch(arr, steps, names),
     ):
         assert got.shape == (len(algorithms), 0)
-    assert machine.measure_algorithm_batch(calls[0], names[0]).shape == (0,)
 
 
 @pytest.mark.parametrize("kind", NOISE_KINDS)
@@ -555,9 +567,9 @@ def test_one_row_pass_runs_as_array_operations(family, monkeypatch):
 def test_call_tables_are_cached_for_tuple_steps_only():
     """Identity keys hold only for immutable step sequences.
 
-    The call-batch adapter builds fresh step lists on every call, so a
-    thousand calls add no table; a list of steps mutated in place
-    between two calls is measured as it stands each time.
+    A thousand calls over fresh step lists add no table; a list of
+    steps mutated in place between two calls is measured as it stands
+    each time.
     """
     expression = get_expression("aatb")
     algorithms = expression.algorithms()
@@ -568,19 +580,16 @@ def test_call_tables_are_cached_for_tuple_steps_only():
         arr, [a.codegen.plan.steps for a in algorithms], names
     )
     size = len(machine._tables)
-    calls = [a.kernel_call_batches(arr) for a in algorithms]
     for _ in range(1000):
-        machine.measure_algorithms_batch(calls, names)
+        machine.measure_plans_batch(
+            arr, [list(a.codegen.plan.steps) for a in algorithms], names
+        )
     assert len(machine._tables) == size
     steps = list(algorithms[0].codegen.plan.steps)
     for source in algorithms[:2]:
         steps[:] = source.codegen.plan.steps
-        batches = [
-            KernelCallBatch(s.kernel, arr[:, s.dims], s.reads_previous)
-            for s in steps
-        ]
         want_measured, want_predicted = reference_totals(
-            machine, batches, "mutated"
+            machine, _interpreted_calls(source, arr), "mutated"
         )
         predicted = np.empty((1, len(arr)))
         measured = machine.measure_plans_batch(
