@@ -26,8 +26,9 @@ N_INSTANCES = 1000
 MIN_SPEEDUP = 3.0
 #: Each measurement times ``LOOPS`` back-to-back evaluations (the
 #: per-call cost is sub-millisecond, so a single call is dominated by
-#: timer and allocator noise); the best of ``REPEATS`` measurements
-#: is the per-call estimate.
+#: timer and allocator noise).  A round measures the interpreted side,
+#: then the generated side; the best of ``REPEATS`` rounds is each
+#: side's per-call estimate.
 REPEATS = 7
 LOOPS = 10
 
@@ -58,14 +59,25 @@ def _generated(algorithms, arr):
     return batch_flops(algorithms, arr)
 
 
-def _best_of(fn, *args):
-    best = float("inf")
+def _paired_best(algorithms, arr):
+    """Best per-call seconds of both sides, timed in the same rounds.
+
+    Pairing the two windows in every round means a slow spell of a
+    shared host slows both sides of that round, not one side's whole
+    window.
+    """
+    best_interpreted = best_generated = float("inf")
     for _ in range(REPEATS):
         t0 = time.perf_counter()
         for _ in range(LOOPS):
-            result = fn(*args)
-        best = min(best, (time.perf_counter() - t0) / LOOPS)
-    return best, result
+            flops_i = _interpreted(algorithms, arr)
+        t1 = time.perf_counter()
+        for _ in range(LOOPS):
+            flops_g = _generated(algorithms, arr)
+        t2 = time.perf_counter()
+        best_interpreted = min(best_interpreted, (t1 - t0) / LOOPS)
+        best_generated = min(best_generated, (t2 - t1) / LOOPS)
+    return best_interpreted, flops_i, best_generated, flops_g
 
 
 def test_codegen_batch_evaluators_speedup(run_once, fig_config):
@@ -87,8 +99,9 @@ def test_codegen_batch_evaluators_speedup(run_once, fig_config):
     print()
     total_interpreted = total_generated = 0.0
     for family, algorithms, arr in cases:
-        interpreted_s, flops_i = _best_of(_interpreted, algorithms, arr)
-        generated_s, flops_g = _best_of(_generated, algorithms, arr)
+        interpreted_s, flops_i, generated_s, flops_g = _paired_best(
+            algorithms, arr
+        )
         total_interpreted += interpreted_s
         total_generated += generated_s
         speedup = interpreted_s / generated_s

@@ -98,7 +98,10 @@ def parse_expressions(raw: str) -> Tuple[str, ...]:
     return names
 
 
-def _validated_store(kind: str) -> str:
+def validated_store(kind: str) -> str:
+    """Store-backend names get the same up-front treatment as
+    expression/scale/box names: a typo is a usage error here, not a
+    per-study failure from inside a worker process."""
     normalized = kind.strip().lower()
     if normalized not in STORE_KINDS:
         raise argparse.ArgumentTypeError(
@@ -107,7 +110,10 @@ def _validated_store(kind: str) -> str:
     return normalized
 
 
-def _positive_int(flag: str):
+def positive_int(flag: str):
+    """An argparse type: a positive integer, or a usage error naming
+    ``flag``."""
+
     def parse(raw: str) -> int:
         try:
             value = int(raw)
@@ -166,13 +172,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--jobs",
-        type=_positive_int("--jobs"),
+        type=positive_int("--jobs"),
         default=1,
         help="worker processes for the study matrix (default: 1)",
     )
     parser.add_argument(
         "--store",
-        type=_validated_store,
+        type=validated_store,
         default=STORE_KINDS[0],
         metavar="{" + ",".join(STORE_KINDS) + "}",
         help="study-store backend (default: json)",
@@ -180,12 +186,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--cache-dir",
         default=None,
-        help=f"store directory, or host:port with --store remote "
-        f"(default: ${CACHE_DIR_ENV})",
+        help=f"store directory (default: ${CACHE_DIR_ENV})",
     )
     parser.add_argument(
         "--retries",
-        type=_positive_int("--retries"),
+        type=positive_int("--retries"),
         default=2,
         metavar="N",
         help="in-process attempts per key when salvaging a broken "

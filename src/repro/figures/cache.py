@@ -9,8 +9,8 @@ so its results can be persisted and reloaded across processes.  With
 :mod:`repro.runner` worker) costs one store read instead of the whole
 experiment pipeline.
 
-Persistence goes through the pluggable :class:`StudyStore` interface
-with three backends (pick with ``REPRO_CACHE_STORE``):
+Persistence goes through the :class:`StudyStore` interface with two
+backends (pick with ``REPRO_CACHE_STORE``):
 
 * :class:`JsonDirectoryStore` (``json``, the default) — one versioned
   JSON file per study.  Writes are atomic (temp file + ``os.replace``),
@@ -22,18 +22,11 @@ with three backends (pick with ``REPRO_CACHE_STORE``):
   :class:`repro.runner.StudyRunner` workers shares it without
   per-file races: readers never block, writers serialize on SQLite's
   write lock with a generous busy timeout.
-* :class:`repro.service.remote.RemoteStudyStore` (``remote``) — a
-  keyed read-through client speaking a length-prefixed TCP protocol to
-  a store server process (``python -m repro.service.store_server``),
-  so machines that do not share a filesystem can share one store.  The
-  "directory" for this kind is the server address, ``host:port``.
 
-Backends register in a factory table (:func:`register_store_kind`);
-``remote`` loads lazily so the json/sqlite fast path never imports the
-service layer.  Every backend moves *canonical payload text* — the
-base class implements ``load``/``save`` on top of ``load_text``/
-``save_text`` plus the shared codec — which is what keeps payloads
-byte-identical whichever backend (or network hop) carried them.
+Both backends move *canonical payload text* — the base class
+implements ``load``/``save`` on top of ``load_text``/``save_text``
+plus the shared codec — which is what keeps payloads byte-identical
+whichever backend carried them.
 
 The schema version participates in the store location (filename /
 database name) and the payload: bump :data:`SCHEMA_VERSION` whenever
@@ -52,22 +45,19 @@ unwritable store degrades to a no-op rather than failing the pipeline.
 
 from __future__ import annotations
 
-import importlib
 import json
 import os
 import sqlite3
 import tempfile
-import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Optional, Union
+from typing import Optional, Union
 
 from repro.analysis.confusion import ConfusionMatrix
 from repro.core.classify import Verdict
 from repro.experiments.prediction import Prediction, PredictionRecord
 from repro.experiments.random_search import Anomaly, SearchResult
 from repro.experiments.regions import DimExtent, Region, RegionCell, Regions
-from repro.resilience import faults
 
 #: Bump when the payload layout or the producing pipeline changes.
 #: v2: study keys (and payloads) carry the search ``box`` name.
@@ -80,12 +70,8 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: Environment variable selecting the store backend (``json`` default).
 CACHE_STORE_ENV = "REPRO_CACHE_STORE"
 
-#: Store kinds whose target is a local directory.
-LOCAL_STORE_KINDS = ("json", "sqlite")
-
-#: Valid values of :data:`CACHE_STORE_ENV`.  ``remote`` targets a
-#: ``host:port`` store server instead of a directory.
-STORE_KINDS = ("json", "sqlite", "remote")
+#: Valid values of :data:`CACHE_STORE_ENV`.
+STORE_KINDS = ("json", "sqlite")
 
 
 @dataclass(frozen=True, order=True)
@@ -377,9 +363,7 @@ class StudyStore:
 
     Backends implement the *text* primitives (``load_text`` /
     ``save_text``); ``load``/``save`` are the canonical codec layered
-    on top.  Moving payloads as opaque canonical text is what lets the
-    remote backend relay them byte-identically through a server whose
-    own backing store is a plain json/sqlite store.
+    on top.
     """
 
     kind: str = ""
@@ -393,20 +377,7 @@ class StudyStore:
         raise NotImplementedError
 
     def load(self, key: StudyKey) -> Optional[dict]:
-        kind = faults.inject("store.load")
-        if kind == "delay":
-            time.sleep(faults.delay_seconds())
-        elif kind in ("reset", "error"):
-            raise OSError(f"injected fault: store.load {kind}")
         text = self.load_text(key)
-        if text is not None and kind in ("corrupt", "torn"):
-            # A corrupted or truncated entry must decode to None — a
-            # cache miss — so callers recompute and heal the store.
-            text = (
-                faults.corrupt_text(text)
-                if kind == "corrupt"
-                else text[: len(text) // 2]
-            )
         return None if text is None else decode_study(text, key)
 
     def save(
@@ -417,26 +388,9 @@ class StudyStore:
         prediction: Prediction,
         confusion: ConfusionMatrix,
     ) -> None:
-        text = encode_study(key, search, regions, prediction, confusion)
-        kind = faults.inject("store.save")
-        if kind == "delay":
-            time.sleep(faults.delay_seconds())
-        elif kind in ("reset", "error"):
-            raise OSError(f"injected fault: store.save {kind}")
-        elif kind in ("corrupt", "torn"):
-            # Persist a damaged payload: the next load must treat it
-            # as a miss and the recompute path must overwrite it with
-            # the byte-identical canonical text.
-            text = (
-                faults.corrupt_text(text)
-                if kind == "corrupt"
-                else text[: len(text) // 2]
-            )
-        self.save_text(key, text)
-
-    def raw_payload(self, key: StudyKey) -> Optional[str]:
-        """The stored text for a key (testing / equality checks)."""
-        return self.load_text(key)
+        self.save_text(
+            key, encode_study(key, search, regions, prediction, confusion)
+        )
 
     def close(self) -> None:
         pass
@@ -566,40 +520,17 @@ class SqliteStudyStore(StudyStore):
                 self._conn = None
 
 
-#: kind → factory over the store target (a directory path, or
-#: ``host:port`` for the remote backend).
-_STORE_FACTORIES: Dict[str, Callable[[Union[str, Path]], StudyStore]] = {}
-
-#: Kinds whose factory registers on first use, so importing the cache
-#: layer never drags in the module that provides them.
-_LAZY_STORE_MODULES = {"remote": "repro.service.remote"}
-
-
-def register_store_kind(
-    kind: str, factory: Callable[[Union[str, Path]], StudyStore]
-) -> None:
-    """Register a store backend factory under a kind name."""
-    _STORE_FACTORIES[kind] = factory
-
-
-register_store_kind("json", lambda target: JsonDirectoryStore(Path(target)))
-register_store_kind("sqlite", lambda target: SqliteStudyStore(Path(target)))
+_STORE_CLASSES = {"json": JsonDirectoryStore, "sqlite": SqliteStudyStore}
 
 
 def make_store(kind: str, cache_dir: Union[str, Path]) -> StudyStore:
-    """Instantiate a store backend by name over its target.
-
-    The target is a cache directory for the local kinds and a
-    ``host:port`` address for ``remote``.
-    """
-    if kind not in _STORE_FACTORIES and kind in _LAZY_STORE_MODULES:
-        importlib.import_module(_LAZY_STORE_MODULES[kind])
-    factory = _STORE_FACTORIES.get(kind)
-    if factory is None:
+    """Instantiate a store backend by name over its cache directory."""
+    store_class = _STORE_CLASSES.get(kind)
+    if store_class is None:
         raise ValueError(
             f"unknown store kind {kind!r}; known: {'/'.join(STORE_KINDS)}"
         )
-    return factory(cache_dir)
+    return store_class(cache_dir)
 
 
 def store_from_env() -> Optional[StudyStore]:

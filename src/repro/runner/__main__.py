@@ -37,7 +37,11 @@ import os
 import sys
 from typing import List, Optional, Sequence, Tuple
 
-from repro.ablation.cli import parse_components as _parse_components
+from repro.ablation.cli import (
+    parse_components,
+    positive_int,
+    validated_store,
+)
 from repro.core.searchspace import NAMED_BOXES
 from repro.expressions.registry import (
     expression_name_help,
@@ -62,18 +66,6 @@ def _validated_expression(name: str) -> str:
             f"unknown expression {name!r}; {expression_name_help()}"
         )
     return name
-
-
-def _validated_store(kind: str) -> str:
-    """Store-backend names get the same up-front treatment as
-    expression/scale/box names: a typo is a usage error here, not a
-    per-study failure from inside a worker process."""
-    normalized = kind.strip().lower()
-    if normalized not in STORE_KINDS:
-        raise argparse.ArgumentTypeError(
-            f"unknown store {kind!r}; known: {'/'.join(STORE_KINDS)}"
-        )
-    return normalized
 
 
 def _parse_extra(raw: str) -> StudyKey:
@@ -124,36 +116,6 @@ def _parse_seeds(raw: str) -> List[int]:
     return seeds
 
 
-def _positive_jobs(raw: str) -> int:
-    try:
-        value = int(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"--jobs takes a positive integer, got {raw!r}"
-        ) from None
-    if value < 1:
-        # Usage error here, not a raw ValueError traceback from
-        # StudyRunner.__post_init__.
-        raise argparse.ArgumentTypeError(
-            f"--jobs must be >= 1, got {value}"
-        )
-    return value
-
-
-def _positive_retries(raw: str) -> int:
-    try:
-        value = int(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"--retries takes a positive integer, got {raw!r}"
-        ) from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"--retries must be >= 1, got {value}"
-        )
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.runner",
@@ -198,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--ablation-components",
-        type=_parse_components,
+        type=parse_components,
         default=None,
         metavar="NAME[,NAME...]",
         help="with --ablation: ablate only these components "
@@ -213,13 +175,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--jobs",
-        type=_positive_jobs,
+        type=positive_int("--jobs"),
         default=1,
         help="worker processes (default: 1 = sequential in-process)",
     )
     parser.add_argument(
         "--store",
-        type=_validated_store,
+        type=validated_store,
         default=STORE_KINDS[0],
         metavar="{" + ",".join(STORE_KINDS) + "}",
         help="study-store backend shared by all workers (default: json)",
@@ -227,12 +189,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--cache-dir",
         default=None,
-        help=f"store directory, or host:port with --store remote "
-        f"(default: ${CACHE_DIR_ENV})",
+        help=f"store directory (default: ${CACHE_DIR_ENV})",
     )
     parser.add_argument(
         "--retries",
-        type=_positive_retries,
+        type=positive_int("--retries"),
         default=2,
         metavar="N",
         help="in-process attempts per key when salvaging a broken "

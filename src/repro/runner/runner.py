@@ -28,13 +28,11 @@ further hardening layers on top of that:
   whose results already reached the store are recognised by the
   sequential retry's store probe (they come back ``cached``); only the
   genuinely missing keys recompute, in-process, where a crash is
-  attributable to its study.
+  attributable to its study, with a doubling pause between attempts.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -44,13 +42,10 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.figures.cache import StudyKey, make_store
 from repro.figures.common import FigureConfig, compute_study_results
-from repro.resilience import RetryPolicy, faults
 
-#: Backoff schedule of the sequential resubmission after a broken
-#: worker pool (attempts come from :attr:`StudyRunner.retries`).
-RESUBMIT_RETRY = RetryPolicy(
-    attempts=2, base_delay=0.05, multiplier=2.0, max_delay=1.0
-)
+#: Pause before the salvage path's second in-process attempt of a key;
+#: it doubles per further attempt, up to one second.
+SALVAGE_DELAY_SECONDS = 0.05
 
 
 @dataclass(frozen=True)
@@ -141,18 +136,6 @@ def run_study(key: StudyKey, store_kind: str, cache_dir: str) -> StudyOutcome:
     start = time.perf_counter()
     notes = []
     try:
-        kind = faults.inject("worker.run")
-        if kind == "crash":
-            # A hard worker death (the injected stand-in for an OOM
-            # kill or segfault) — only meaningful inside a pool child;
-            # in the parent it would take the whole run down, which no
-            # real worker crash can do.
-            if multiprocessing.parent_process() is not None:
-                os._exit(3)
-        elif kind == "delay":
-            time.sleep(faults.delay_seconds())
-        elif kind is not None:
-            raise RuntimeError(f"injected fault: worker.run {kind}")
         with make_store(store_kind, Path(cache_dir)) as store:
             try:
                 loaded = store.load(key)
@@ -253,9 +236,9 @@ class StudyRunner:
         studies' outcomes would be lost with it.  Completed results are
         never actually lost — workers communicate through the store —
         so each broken key is resubmitted sequentially via
-        :func:`run_study` under the shared retry policy
-        (:data:`RESUBMIT_RETRY` backoff, :attr:`retries` attempts),
-        whose store probe reports the survivors as ``cached`` and
+        :func:`run_study`, up to :attr:`retries` attempts with a
+        doubling pause between them (:data:`SALVAGE_DELAY_SECONDS`);
+        its store probe reports the survivors as ``cached`` and
         recomputes only the genuinely missing keys.  Each salvaged
         outcome records how many attempts it took.
         """
@@ -273,24 +256,21 @@ class StudyRunner:
                         pass  # retried sequentially below
         except BrokenProcessPool:
             pass  # the pool can also break during submission or shutdown
-        policy = replace(RESUBMIT_RETRY, attempts=self.retries)
         for key, store_kind, cache_dir in args:
             if key in results:
                 continue
-            attempts = 0
-            outcome = None
-            for attempt in range(policy.attempts):
-                if attempt:
-                    time.sleep(policy.backoff(key.slug, attempt - 1))
-                attempts = attempt + 1
+            for attempt in range(1, self.retries + 1):
+                if attempt > 1:
+                    time.sleep(
+                        min(SALVAGE_DELAY_SECONDS * 2 ** (attempt - 2), 1.0)
+                    )
                 outcome = run_study(key, store_kind, cache_dir)
                 if outcome.status != "failed":
                     break
-            assert outcome is not None
             note = (
                 f"retried sequentially after worker pool broke "
-                f"(attempt {attempts}/{policy.attempts})"
+                f"(attempt {attempt}/{self.retries})"
             )
             error = f"{outcome.error}; {note}" if outcome.error else note
-            results[key] = replace(outcome, error=error, attempts=attempts)
+            results[key] = replace(outcome, error=error, attempts=attempt)
         return tuple(results[a[0]] for a in args)

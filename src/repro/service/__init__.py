@@ -11,7 +11,7 @@ package stands it up as a long-lived asyncio HTTP service
   falls inside a known anomalous region of the expression's study.
 * Studies come through a capacity-bounded :class:`LruCache` reading
   through the configured :class:`repro.figures.cache.StudyStore`; an
-  unreachable or cold store degrades to local computation — the
+  unreadable or cold store degrades to local computation — the
   service keeps serving.
 * :class:`SelectionBatcher` coalesces concurrent requests for the same
   expression into one ``select_batch`` call, index-identical to
@@ -20,11 +20,7 @@ package stands it up as a long-lived asyncio HTTP service
   only): ``POST /select``, ``POST /select_batch``, ``GET /stats``,
   ``GET /healthz``.
 
-The third store backend lives here too: ``python -m
-repro.service.store_server`` serves a json/sqlite store over a
-length-prefixed TCP protocol, and
-:class:`repro.service.remote.RemoteStudyStore` (store kind
-``remote``) is its client.  See ``docs/service.md``.
+See ``docs/service.md``.
 """
 
 from repro.service.batching import SelectionBatcher

@@ -24,7 +24,6 @@ import json
 import os
 import signal
 import sys
-from dataclasses import replace
 from typing import List, Optional
 
 from repro.core.searchspace import NAMED_BOXES
@@ -89,8 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--cache-dir",
         default=None,
-        help="store directory, or host:port with --store remote "
-        f"(default: ${CACHE_DIR_ENV})",
+        help=f"store directory (default: ${CACHE_DIR_ENV})",
     )
     parser.add_argument(
         "--lru-capacity",
@@ -126,14 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="shed selection requests beyond N in flight with an "
         "immediate 503 (default: unbounded)",
     )
-    parser.add_argument(
-        "--retries",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="total attempts per remote-store round trip "
-        "(default: the store's policy, 3; only with --store remote)",
-    )
     return parser
 
 
@@ -146,10 +136,7 @@ def _build_store(args: argparse.Namespace) -> Optional[StudyStore]:
             f"error: --store {args.store} needs --cache-dir or "
             f"${CACHE_DIR_ENV}"
         )
-    store = make_store(args.store, cache_dir)
-    if args.retries is not None and hasattr(store, "retry"):
-        store.retry = replace(store.retry, attempts=args.retries)
-    return store
+    return make_store(args.store, cache_dir)
 
 
 async def _serve(service: SelectionService, warm: List[str]) -> None:

@@ -13,7 +13,7 @@ Studies flow through :class:`StudyProvider`: an in-process
 :class:`~repro.service.lru.LruCache` over hot ``(expression, box)``
 studies, reading through the configured
 :class:`~repro.figures.cache.StudyStore`.  Degradation is graceful by
-design — a cold, corrupted, or unreachable store is a miss that falls
+design — a cold, corrupted, or unreadable store is a miss that falls
 back to local computation with a log line, never a failed request.
 """
 
@@ -206,21 +206,15 @@ class StudyProvider:
         return study, source
 
     def stats(self) -> dict:
-        store_stats = {
-            "kind": self.store.kind if self.store is not None else None,
-            "hits": self.store_hits,
-            "misses": self.store_misses,
-            "errors": self.store_errors,
-            "computed_locally": self.computed,
-        }
-        # The remote backend carries retry/breaker counters; surface
-        # them so GET /stats shows how hard the store is degrading.
-        resilience = getattr(self.store, "resilience_stats", None)
-        if callable(resilience):
-            store_stats["resilience"] = resilience()
         return {
             "lru": self.lru.stats(),
-            "store": store_stats,
+            "store": {
+                "kind": self.store.kind if self.store is not None else None,
+                "hits": self.store_hits,
+                "misses": self.store_misses,
+                "errors": self.store_errors,
+                "computed_locally": self.computed,
+            },
         }
 
 

@@ -19,7 +19,7 @@ Client errors (unknown expression/discriminant, malformed dims or
 JSON) are HTTP 400 with ``{"error": ...}``; unexpected failures are
 logged and answered 500 without tearing down the connection.
 
-Overload and shutdown are first-class (the resilience layer):
+Overload and shutdown are first-class:
 
 * a per-request **deadline** answers 503 ``deadline exceeded`` when a
   dispatch overruns its budget;
@@ -30,10 +30,9 @@ Overload and shutdown are first-class (the resilience layer):
   response — zero dropped answers — then closes idle keep-alive
   connections and reports final stats.
 
-``GET /stats`` carries a ``resilience`` section: shed and
-deadline-exceeded counters, the study store's retry/breaker state
-(when the store is remote), and the active fault plan's injection
-counters.
+``GET /stats`` carries a ``resilience`` section: the configured
+deadline and in-flight bound, the in-flight count, the draining flag,
+and the shed and deadline-exceeded counters.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ import logging
 import time
 from typing import Optional, Set, Tuple
 
-from repro.resilience import faults
 from repro.service.batching import SelectionBatcher
 from repro.service.engine import SelectionEngine, SelectionError
 
@@ -342,11 +340,6 @@ class SelectionService:
     ) -> Tuple[int, dict]:
         path = path.split("?", 1)[0]
         try:
-            kind = faults.inject("service.request")
-            if kind == "delay":
-                await asyncio.sleep(faults.delay_seconds())
-            elif kind is not None:
-                raise RuntimeError(f"injected fault: service.request {kind}")
             if path == "/select":
                 if method != "POST":
                     return self._error(405, "POST /select")
@@ -427,7 +420,6 @@ class SelectionService:
                 "deadline_exceeded": self.request_counts[
                     "deadline_exceeded"
                 ],
-                "faults": faults.injected_stats(),
             },
             **self.engine.stats(),
         }

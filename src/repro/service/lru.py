@@ -1,7 +1,7 @@
 """A capacity-bounded LRU cache with hit/miss/eviction counters.
 
 The selection service keeps hot ``(expression, box)`` studies in
-process behind the on-disk/remote :class:`~repro.figures.cache.StudyStore`;
+process behind the on-disk :class:`~repro.figures.cache.StudyStore`;
 the counters feed ``GET /stats`` so operators can size the capacity
 against the live working set.
 """

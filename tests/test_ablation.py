@@ -7,11 +7,13 @@ few-component config on the quick scale (sub-second each) with a
 shared warm store.
 """
 
+import argparse
 import json
 
 import pytest
 
 from repro.ablation.cli import main as ablation_main
+from repro.ablation.cli import positive_int, validated_store
 from repro.ablation.components import (
     COMPONENTS,
     DEFAULT_VARIANT,
@@ -295,6 +297,53 @@ def test_cli_requires_a_cache_dir(monkeypatch, capsys):
     monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
     assert ablation_main(["--components", "no-noise"]) == 2
     assert "cache-dir" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "raw, kind", [("json", "json"), (" JSON ", "json"), ("SQLite", "sqlite")]
+)
+def test_validated_store_normalizes_known_kinds(raw, kind):
+    assert validated_store(raw) == kind
+
+
+@pytest.mark.parametrize("raw", ["remote", "mongodb", ""])
+def test_validated_store_rejects_other_kinds(raw):
+    with pytest.raises(
+        argparse.ArgumentTypeError, match=r"known: json/sqlite$"
+    ):
+        validated_store(raw)
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        ("0", "--jobs must be >= 1, got 0"),
+        ("-2", "--jobs must be >= 1, got -2"),
+        ("2.5", "--jobs takes a positive integer, got '2.5'"),
+        ("", "--jobs takes a positive integer, got ''"),
+    ],
+)
+def test_positive_int_names_its_flag(raw, message):
+    parse = positive_int("--jobs")
+    assert parse("3") == 3
+    with pytest.raises(argparse.ArgumentTypeError) as excinfo:
+        parse(raw)
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        (["--jobs", "0"], "--jobs must be >= 1"),
+        (["--retries", "none"], "--retries takes a positive integer"),
+        (["--store", "remote"], "unknown store 'remote'"),
+    ],
+)
+def test_cli_rejects_bad_counts_and_stores(tmp_path, capsys, argv, fragment):
+    with pytest.raises(SystemExit) as excinfo:
+        ablation_main(argv + ["--cache-dir", str(tmp_path)])
+    assert excinfo.value.code == 2
+    assert fragment in capsys.readouterr().err
 
 
 def test_cli_list_components(capsys):

@@ -1,95 +1,103 @@
-"""Chaos suite: injected faults must never change the answers.
+"""Damaged stores and slow requests must never change the answers.
 
-The infrastructure analogue of the paper's ablation studies: perturb
-the system with seeded :class:`~repro.resilience.FaultPlan` schedules
-— connection resets, torn frames, corrupted payloads, delays, worker
-crashes — and assert that study payloads stay **byte-identical** and
-selections **index-identical** to the fault-free run, while the
-resilience layer (retries, circuit breaker, graceful drain) absorbs
-the damage.
+Each test damages the system with a test-local fake — a store whose
+loads or saves come back corrupted, torn, raising or slow, a request
+path that stalls — and asserts that study payloads stay
+**byte-identical** and selections **index-identical** to the
+undamaged run.  Loads are best-effort (see :mod:`repro.figures.cache`):
+a damaged load is a miss that recomputes, and the recompute's save
+overwrites a damaged entry with the canonical bytes.
 
-Every plan here is deterministic: the same seed against the same
-workload injects the same faults, so a failure replays exactly.
+Every damage schedule is deterministic, so a failure replays exactly.
 """
 
 import asyncio
 import json
-import threading
+import random
 import time
 
 import pytest
 
-from repro.figures.cache import JsonDirectoryStore, StudyKey, make_store
-from repro.resilience import (
-    CircuitBreaker,
-    FAULTS_ENV,
-    FaultPlan,
-    RetryPolicy,
-    faults,
+from repro.figures.cache import (
+    JsonDirectoryStore,
+    SqliteStudyStore,
+    StudyKey,
+    StudyStore,
 )
-from repro.runner.runner import StudyRunner, run_study
+from repro.runner import runner as runner_module
+from repro.runner.runner import run_study
 from repro.service import SelectionEngine, SelectionService
-from repro.service.remote import RemoteStudyStore, StudyStoreServer
 
 KEY = StudyKey(scale="quick", seed=0, expression="aatb", box="paper_box")
-MATRIX = (
-    StudyKey("quick", 0, "aatb"),
-    StudyKey("quick", 1, "aatb"),
-)
 DIMS = [[100, 200, 300], [50, 60, 70], [1200, 1200, 1200]]
 
 
-@pytest.fixture(autouse=True)
-def _no_ambient_faults(monkeypatch):
-    monkeypatch.delenv(FAULTS_ENV, raising=False)
-    faults.set_plan(None)
-    yield
-    faults.set_plan(None)
+class DamagedStore(StudyStore):
+    """A real store whose text operations are damaged on a schedule.
+
+    ``spec`` is ``;``-separated clauses.  ``store.load=KIND:N`` and
+    ``store.save=KIND:N`` damage the first N loads or saves with KIND:
+    ``corrupt`` splices a NUL byte into the text, ``torn`` cuts it
+    short, ``error`` raises ``OSError`` and ``delay`` pauses.
+    ``seed=N`` seeds where in the text a damage lands and ``delay=S``
+    sets the pause.
+    """
+
+    def __init__(self, inner: StudyStore, spec: str) -> None:
+        self.inner = inner
+        self.kind = inner.kind
+        self.rng = random.Random(0)
+        self.pause = 0.0
+        self.pending = {"store.load": [], "store.save": []}
+        for clause in spec.split(";"):
+            name, _, value = clause.partition("=")
+            if name == "seed":
+                self.rng.seed(int(value))
+            elif name == "delay":
+                self.pause = float(value)
+            else:
+                damage, _, count = value.partition(":")
+                self.pending[name] += [damage] * int(count)
+
+    def _damage(self, op, text):
+        damage = self.pending[op].pop(0) if self.pending[op] else None
+        if damage == "delay":
+            time.sleep(self.pause)
+        elif damage == "error":
+            raise OSError(f"{op} failed")
+        elif text is not None and damage == "corrupt":
+            at = self.rng.randrange(len(text))
+            text = text[:at] + "\x00" + text[at:]
+        elif text is not None and damage == "torn":
+            text = text[: self.rng.randrange(len(text))]
+        return text
+
+    def load_text(self, key):
+        return self._damage("store.load", self.inner.load_text(key))
+
+    def save_text(self, key, text):
+        self.inner.save_text(key, self._damage("store.save", text))
+
+    def close(self):
+        self.inner.close()
 
 
 @pytest.fixture(scope="module")
 def baseline_bytes(tmp_path_factory):
-    """The fault-free canonical payload bytes for KEY."""
+    """The undamaged canonical payload bytes for KEY."""
     root = tmp_path_factory.mktemp("baseline")
-    faults.set_plan(None)
     assert run_study(KEY, "json", str(root)).status == "computed"
     return JsonDirectoryStore(root).path_for(KEY).read_bytes()
 
 
-@pytest.fixture()
-def served_store(tmp_path):
-    """A StudyStoreServer over a json backing, on a live thread."""
-    backing = make_store("json", tmp_path / "backing")
-    loop = asyncio.new_event_loop()
-    server = StudyStoreServer(backing)
-    ready = threading.Event()
-
-    def run():
-        asyncio.set_event_loop(loop)
-        loop.run_until_complete(server.start())
-        ready.set()
-        loop.run_forever()
-
-    thread = threading.Thread(target=run, daemon=True)
-    thread.start()
-    assert ready.wait(5)
-    yield server, backing
-    asyncio.run_coroutine_threadsafe(server.stop(), loop).result(5)
-    asyncio.run_coroutine_threadsafe(asyncio.sleep(0.05), loop).result(5)
-    loop.call_soon_threadsafe(loop.stop)
-    thread.join(5)
-    loop.close()
-
-
-class FakeClock:
-    def __init__(self):
-        self.t = 0.0
-
-    def now(self):
-        return self.t
-
-    def advance(self, seconds):
-        self.t += seconds
+def _run_damaged(monkeypatch, store, runs):
+    """``runs`` run_study calls of KEY, each through ``store``."""
+    monkeypatch.setattr(runner_module, "make_store", lambda kind, root: store)
+    outcomes = [run_study(KEY, store.kind, "unused") for _ in range(runs)]
+    monkeypatch.undo()
+    # Every scheduled damage landed.
+    assert store.pending == {"store.load": [], "store.save": []}
+    return outcomes
 
 
 async def _http(port, method, path, body=None):
@@ -112,12 +120,12 @@ async def _http(port, method, path, body=None):
 
 
 # ----------------------------------------------------------------------
-# Store chaos: payloads heal byte-identically
+# Store damage: payloads heal byte-identically
 # ----------------------------------------------------------------------
 
-#: Three distinct seeded plans over the local-store fault sites; each
-#: damages loads and/or saves differently, and the store must end up
-#: byte-identical to the fault-free baseline every time.
+#: Three schedules over a store's loads and saves; each damages them
+#: differently, and the store must end up byte-identical to the
+#: undamaged baseline every time.
 STORE_PLANS = (
     "seed=1;store.load=corrupt:2",
     "seed=2;store.save=corrupt:1;store.load=torn:1",
@@ -126,189 +134,71 @@ STORE_PLANS = (
 
 
 @pytest.mark.parametrize("spec", STORE_PLANS)
-def test_store_chaos_heals_byte_identically(tmp_path, spec, baseline_bytes):
-    faults.set_plan(FaultPlan.parse(spec))
-    outcomes = [run_study(KEY, "json", str(tmp_path)) for _ in range(4)]
-    faults.set_plan(None)
-    # No study failed, whatever the plan broke along the way...
+def test_store_chaos_heals_byte_identically(
+    tmp_path, monkeypatch, spec, baseline_bytes
+):
+    store = DamagedStore(JsonDirectoryStore(tmp_path), spec)
+    outcomes = _run_damaged(monkeypatch, store, runs=4)
+    # No study failed, whatever the schedule broke along the way...
     assert all(o.status in ("computed", "cached") for o in outcomes)
-    # ...and once the plan is exhausted the stored payload is exactly
-    # the fault-free one: corrupted entries became misses, recomputes
+    # ...and once the schedule is spent the stored payload is exactly
+    # the undamaged one: damaged entries became misses, recomputes
     # overwrote them with canonical bytes.
     path = JsonDirectoryStore(tmp_path).path_for(KEY)
     assert path.read_bytes() == baseline_bytes
     assert run_study(KEY, "json", str(tmp_path)).status == "cached"
 
 
-def test_corrupt_load_is_a_miss_not_a_failure(tmp_path, baseline_bytes):
+def test_corrupt_load_is_a_miss_not_a_failure(
+    tmp_path, monkeypatch, baseline_bytes
+):
     assert run_study(KEY, "json", str(tmp_path)).status == "computed"
-    faults.set_plan(FaultPlan.parse("seed=4;store.load=corrupt:1"))
-    outcome = run_study(KEY, "json", str(tmp_path))
-    faults.set_plan(None)
-    # The entry on disk was fine; the injected corruption made the
-    # load a miss, so the study recomputed instead of failing.
+    store = DamagedStore(
+        JsonDirectoryStore(tmp_path), "seed=4;store.load=corrupt:1"
+    )
+    (outcome,) = _run_damaged(monkeypatch, store, runs=1)
+    # The entry on disk was fine; the corrupted read made the load a
+    # miss, so the study recomputed instead of failing.
     assert outcome.status == "computed"
     path = JsonDirectoryStore(tmp_path).path_for(KEY)
     assert path.read_bytes() == baseline_bytes
 
 
-def test_raising_store_load_surfaces_a_note(tmp_path):
-    assert run_study(KEY, "json", str(tmp_path)).status == "computed"
-    faults.set_plan(FaultPlan.parse("seed=5;store.load=error:1"))
-    outcome = run_study(KEY, "json", str(tmp_path))
-    faults.set_plan(None)
+def test_raising_store_load_surfaces_a_note(tmp_path, monkeypatch):
+    store = DamagedStore(
+        SqliteStudyStore(tmp_path), "seed=5;store.load=error:1"
+    )
+    (outcome,) = _run_damaged(monkeypatch, store, runs=1)
     assert outcome.status == "computed"
     assert "store load failed, recomputed" in outcome.error
+    assert "OSError: store.load failed" in outcome.error
+    # The recompute still reached the store.
+    assert run_study(KEY, "sqlite", str(tmp_path)).status == "cached"
 
 
 # ----------------------------------------------------------------------
-# Remote-store chaos: the wire under fire
-# ----------------------------------------------------------------------
-
-#: Three distinct seeded plans over the transport fault sites; the
-#: client's retry policy must absorb each, and the payload that lands
-#: on the server must match the fault-free bytes.
-WIRE_PLANS = (
-    "seed=11;remote.send=reset:2",
-    "seed=12;remote.send=torn:1;remote.recv=reset:1",
-    "seed=13;delay=0.001;server.respond=torn:1;remote.send=delay:2",
-)
-
-
-@pytest.mark.parametrize("spec", WIRE_PLANS)
-def test_wire_chaos_payloads_stay_byte_identical(
-    served_store, spec, baseline_bytes
-):
-    server, backing = served_store
-    address = f"127.0.0.1:{server.port}"
-    faults.set_plan(FaultPlan.parse(spec))
-    outcome = run_study(KEY, "remote", address)
-    faults.set_plan(None)
-    assert outcome.status == "computed"
-    # The payload that crossed the damaged wire is byte-identical to
-    # the fault-free local one.
-    assert backing.raw_payload(KEY) == baseline_bytes.decode()
-    assert run_study(KEY, "remote", address).status == "cached"
-
-
-def test_wire_chaos_counts_retries(served_store):
-    server, _backing = served_store
-    client = RemoteStudyStore(
-        f"127.0.0.1:{server.port}",
-        retry=RetryPolicy(attempts=3, base_delay=0.001, jitter=0.0),
-    )
-    faults.set_plan(FaultPlan.parse("seed=14;remote.send=reset:2"))
-    try:
-        assert client.ping()  # two resets absorbed by two retries
-    finally:
-        faults.set_plan(None)
-        client.close()
-    stats = client.resilience_stats()
-    assert stats["retries"] == 2
-    assert stats["transport_failures"] == 0
-    assert stats["breaker"]["state"] == "closed"
-
-
-def test_breaker_opens_then_recovers_via_half_open_probe(served_store):
-    server, _backing = served_store
-    clock = FakeClock()
-    store = RemoteStudyStore(
-        "127.0.0.1:1",  # nothing listens here
-        timeout=0.5,
-        retry=RetryPolicy(attempts=1, base_delay=0.0, jitter=0.0),
-        breaker=CircuitBreaker(
-            failure_threshold=2, recovery_seconds=30.0, clock=clock.now
-        ),
-    )
-    try:
-        assert store.load_text(KEY) is None
-        assert store.load_text(KEY) is None
-        assert store.breaker.state == "open"
-        # While open, calls short-circuit: no new transport attempts.
-        failures = store.transport_failures
-        assert store.ping() is False
-        assert store.transport_failures == failures
-        assert store.breaker.short_circuited >= 1
-        # The server "comes back" and the recovery window elapses: the
-        # half-open probe succeeds and closes the circuit.
-        store.host, store.port = "127.0.0.1", server.port
-        clock.advance(30.0)
-        assert store.ping()
-        assert store.breaker.state == "closed"
-        assert store.breaker.stats()["transitions"][-2:] == [
-            "half-open",
-            "closed",
-        ]
-    finally:
-        store.close()
-
-
-# ----------------------------------------------------------------------
-# Runner chaos: worker crashes
+# Request stalls: answers stay index-identical
 # ----------------------------------------------------------------------
 
 
-def test_worker_crash_chaos_salvages_byte_identically(
-    tmp_path, monkeypatch, baseline_bytes
-):
-    # The plan reaches pool children through the environment; each
-    # child's first study dies hard (os._exit), breaking the pool.
-    # The salvage path must recompute sequentially — in the parent the
-    # crash kind is inert — and leave fault-free bytes behind.
-    monkeypatch.setenv(FAULTS_ENV, "seed=21;worker.run=crash:1")
-    report = StudyRunner(
-        cache_dir=tmp_path / "chaos", store="json", jobs=2
-    ).run(MATRIX)
-    monkeypatch.delenv(FAULTS_ENV)
-    assert report.ok
-    salvaged = [
-        o for o in report.outcomes if "worker pool broke" in o.error
-    ]
-    assert salvaged  # at least one key went through the salvage path
-    assert all(o.attempts >= 1 for o in report.outcomes)
-    faults.set_plan(None)
-    sequential = tmp_path / "plain"
-    StudyRunner(cache_dir=sequential, store="json", jobs=1).run(MATRIX)
-    chaos_store = JsonDirectoryStore(tmp_path / "chaos")
-    plain_store = JsonDirectoryStore(sequential)
-    for key in MATRIX:
-        assert (
-            chaos_store.path_for(key).read_bytes()
-            == plain_store.path_for(key).read_bytes()
-        )
-    assert chaos_store.path_for(MATRIX[0]).read_bytes() == baseline_bytes
-
-
-# ----------------------------------------------------------------------
-# Selection chaos: answers stay index-identical
-# ----------------------------------------------------------------------
-
-
-def test_selections_stay_index_identical_under_store_corruption(tmp_path):
-    store = JsonDirectoryStore(tmp_path)
-    clean = SelectionEngine(scale="quick", seed=0, store=store)
-    expected = [
-        s.algorithm_index for s in clean.select_many("aatb", DIMS)
-    ]
-    # Every store load is corrupted: the engine sees only misses and
-    # must compute locally — and pick identically.
-    faults.set_plan(FaultPlan.parse("seed=31;store.load=corrupt:*"))
-    chaotic = SelectionEngine(scale="quick", seed=0, store=store)
-    got = [s.algorithm_index for s in chaotic.select_many("aatb", DIMS)]
-    faults.set_plan(None)
-    assert got == expected
-
-
-def test_service_answers_identically_under_request_delays(tmp_path):
+def test_service_answers_identically_under_request_delays():
     engine = SelectionEngine(scale="quick", seed=0)
     expected = [s.algorithm_index for s in engine.select_many("aatb", DIMS)]
 
     async def run():
         service = SelectionService(engine, port=0)
         await service.start()
-        faults.set_plan(
-            FaultPlan.parse("seed=32;delay=0.02;service.request=delay:2")
-        )
+        dispatch = service._dispatch
+        stalled = []
+
+        async def stalling_dispatch(method, path, body):
+            # The first two requests stall before they are handled.
+            if len(stalled) < 2:
+                stalled.append(path)
+                await asyncio.sleep(0.02)
+            return await dispatch(method, path, body)
+
+        service._dispatch = stalling_dispatch
         results = await asyncio.gather(
             *(
                 _http(
@@ -320,59 +210,12 @@ def test_service_answers_identically_under_request_delays(tmp_path):
                 for dims in DIMS
             )
         )
-        faults.set_plan(None)
         await service.stop()
-        return results
+        return results, stalled
 
-    results = asyncio.run(run())
+    results, stalled = asyncio.run(run())
+    assert stalled == ["/select", "/select"]
     assert [status for status, _payload in results] == [200] * len(DIMS)
     assert [
         payload["algorithm"]["index"] for _status, payload in results
     ] == expected
-
-
-# ----------------------------------------------------------------------
-# Graceful drain: zero dropped responses
-# ----------------------------------------------------------------------
-
-
-def test_drain_finishes_inflight_requests_with_zero_drops():
-    engine = SelectionEngine(scale="quick", seed=0)
-    engine.warm(["aatb"])
-
-    async def run():
-        service = SelectionService(engine, port=0)
-        await service.start()
-        port = service.port
-        # An in-flight request held open by an injected delay...
-        faults.set_plan(
-            FaultPlan.parse("seed=41;delay=0.3;service.request=delay:1")
-        )
-        inflight = asyncio.create_task(
-            _http(
-                port,
-                "POST",
-                "/select",
-                {"expression": "aatb", "dims": [100, 200, 300]},
-            )
-        )
-        await asyncio.sleep(0.1)
-        assert service.stats()["resilience"]["inflight"] == 1
-        # ...must still get its full answer through the drain.
-        final = await service.drain()
-        status, payload = await inflight
-        refused = False
-        try:
-            await asyncio.open_connection("127.0.0.1", port)
-        except OSError:
-            refused = True
-        faults.set_plan(None)
-        return status, payload, final, refused
-
-    status, payload, final, refused = asyncio.run(run())
-    assert status == 200
-    assert payload["algorithm"]["index"] >= 0  # a complete response
-    assert final["resilience"]["draining"] is True
-    assert final["resilience"]["inflight"] == 0
-    assert final["requests"]["select"] == 1
-    assert refused  # the listener closed before the wait, not after

@@ -1,302 +1,87 @@
-"""The resilience layer: retry policy, circuit breaker, fault plans.
+"""Retry timing of the runner's broken-pool salvage.
 
-The load-bearing promises: every schedule is a deterministic function
-of its seed (two runs sleep and inject identically), the breaker's
-state machine follows closed → open → half-open → closed exactly, and
-an invalid fault spec disables injection instead of taking the
-pipeline down.
+When the worker pool breaks, :class:`repro.runner.StudyRunner` retries
+each unfinished key in-process, up to ``retries`` attempts.  It pauses
+:data:`repro.runner.runner.SALVAGE_DELAY_SECONDS` before the second
+attempt and doubles the pause per further attempt, up to one second.
+``time.sleep`` is replaced by a recorder here, so the tests read the
+schedule without waiting it out.
 """
 
-import pytest
+from concurrent.futures.process import BrokenProcessPool
 
-from repro.resilience import (
-    BreakerOpen,
-    CircuitBreaker,
-    FAULTS_ENV,
-    FaultPlan,
-    FaultRule,
-    RetryError,
-    RetryPolicy,
-    faults,
-)
+from repro.figures.cache import StudyKey
+from repro.runner import StudyRunner
+from repro.runner import runner as runner_module
+
+KEYS = (StudyKey("quick", 0, "aatb"), StudyKey("quick", 1, "aatb"))
 
 
-@pytest.fixture(autouse=True)
-def _no_ambient_faults(monkeypatch):
-    monkeypatch.delenv(FAULTS_ENV, raising=False)
-    faults.set_plan(None)
-    yield
-    faults.set_plan(None)
+class ExplodingPool:
+    def __init__(self, max_workers=None):
+        pass
+
+    def __enter__(self):
+        raise BrokenProcessPool("fork failed")
+
+    def __exit__(self, *exc):
+        return False
 
 
-class FakeClock:
-    def __init__(self):
-        self.t = 0.0
+def _salvage_pauses(tmp_path, monkeypatch, retries, failures=None):
+    """The pauses a salvage of KEYS sleeps, and its report.
 
-    def now(self):
-        return self.t
-
-    def advance(self, seconds):
-        self.t += seconds
-
-
-# ----------------------------------------------------------------------
-# RetryPolicy
-# ----------------------------------------------------------------------
-
-
-def test_retry_delays_are_deterministic_and_grow():
-    policy = RetryPolicy(attempts=4, base_delay=0.01, multiplier=2.0)
-    first = policy.delays("remote.send")
-    assert first == policy.delays("remote.send")  # pure function
-    assert len(first) == 3
-    # Exponential growth shines through the bounded jitter
-    # (each delay is base * 2^i * [1, 1.5)).
-    assert first[0] < first[1] < first[2]
-    # Different sites and seeds draw different jitter streams.
-    assert first != policy.delays("store.load")
-    reseeded = RetryPolicy(attempts=4, base_delay=0.01, seed=7)
-    assert first != reseeded.delays("remote.send")
-
-
-def test_retry_backoff_respects_max_delay():
-    policy = RetryPolicy(
-        attempts=8, base_delay=0.1, multiplier=10.0, max_delay=0.5, jitter=0.0
-    )
-    assert policy.backoff("x", 5) == 0.5
-
-
-def test_retry_run_retries_then_succeeds():
-    calls = []
-    sleeps = []
-    retried = []
-
-    def flaky():
-        calls.append(1)
-        if len(calls) < 3:
-            raise OSError("transient")
-        return "ok"
-
-    policy = RetryPolicy(attempts=3, base_delay=0.01)
-    result = policy.run(
-        flaky,
-        site="t",
-        sleep=sleeps.append,
-        on_retry=lambda attempt, exc: retried.append((attempt, str(exc))),
-    )
-    assert result == "ok"
-    assert len(calls) == 3
-    assert sleeps == list(policy.delays("t"))[:2]
-    assert [a for a, _ in retried] == [1, 2]
-
-
-def test_retry_run_raises_retry_error_with_the_last_cause():
-    policy = RetryPolicy(attempts=2, base_delay=0.0)
-
-    def always():
-        raise ValueError("still broken")
-
-    with pytest.raises(RetryError) as excinfo:
-        policy.run(always, site="remote.send", sleep=lambda _s: None)
-    err = excinfo.value
-    assert err.site == "remote.send"
-    assert err.attempts == 2
-    assert isinstance(err.last, ValueError)
-    assert "still broken" in str(err)
-
-
-def test_retry_run_propagates_non_retriable_immediately():
+    Each in-process attempt fails while ``failures`` (default: every
+    attempt) lasts, then computes normally.
+    """
+    compute = runner_module.compute_study_results
     calls = []
 
-    def boom():
-        calls.append(1)
-        raise KeyError("not transport")
+    def flaky(*args):
+        calls.append(args)
+        if failures is None or len(calls) <= failures:
+            raise RuntimeError("simulated study failure")
+        return compute(*args)
 
-    policy = RetryPolicy(attempts=5, base_delay=0.0)
-    with pytest.raises(KeyError):
-        policy.run(boom, retriable=(OSError,), sleep=lambda _s: None)
-    assert len(calls) == 1
-
-
-def test_retry_deadline_refuses_attempts_that_do_not_fit():
-    clock = FakeClock()
-
-    def failing():
-        clock.advance(0.4)  # each attempt burns 0.4s of the 0.5s budget
-        raise OSError("slow failure")
-
-    policy = RetryPolicy(attempts=10, base_delay=0.05, deadline=0.5)
-    with pytest.raises(RetryError) as excinfo:
-        policy.run(
-            failing, site="d", sleep=lambda _s: None, clock=clock.now
-        )
-    # The budget fit one attempt, not ten.
-    assert excinfo.value.attempts < 10
+    pauses = []
+    monkeypatch.setattr(runner_module, "ProcessPoolExecutor", ExplodingPool)
+    monkeypatch.setattr(runner_module, "compute_study_results", flaky)
+    monkeypatch.setattr(runner_module.time, "sleep", pauses.append)
+    report = StudyRunner(
+        cache_dir=tmp_path, store="json", jobs=2, retries=retries
+    ).run(KEYS)
+    monkeypatch.undo()
+    return pauses, report
 
 
-def test_retry_policy_validates():
-    with pytest.raises(ValueError):
-        RetryPolicy(attempts=0)
-    with pytest.raises(ValueError):
-        RetryPolicy(base_delay=-1.0)
+def test_retry_delays_are_deterministic_and_grow(tmp_path, monkeypatch):
+    first, report = _salvage_pauses(tmp_path / "a", monkeypatch, retries=4)
+    again, _ = _salvage_pauses(tmp_path / "b", monkeypatch, retries=4)
+    assert not report.ok
+    assert [o.attempts for o in report.outcomes] == [4, 4]
+    # Three pauses per key, each twice the last, the same every run.
+    assert first == [0.05, 0.1, 0.2] * len(KEYS)
+    assert again == first
 
 
-# ----------------------------------------------------------------------
-# CircuitBreaker
-# ----------------------------------------------------------------------
+def test_retry_backoff_respects_max_delay(tmp_path, monkeypatch):
+    pauses, report = _salvage_pauses(tmp_path, monkeypatch, retries=8)
+    assert [o.attempts for o in report.outcomes] == [8, 8]
+    assert pauses == [0.05, 0.1, 0.2, 0.4, 0.8, 1.0, 1.0] * len(KEYS)
 
 
-def test_breaker_opens_after_consecutive_failures():
-    clock = FakeClock()
-    breaker = CircuitBreaker(
-        failure_threshold=3, recovery_seconds=5.0, clock=clock.now
+def test_salvage_pauses_only_between_attempts(tmp_path, monkeypatch):
+    # One attempt per key: nothing to pause between.
+    pauses, report = _salvage_pauses(
+        tmp_path / "once", monkeypatch, retries=1
     )
-    for _ in range(2):
-        assert breaker.allow()
-        breaker.record_failure()
-    assert breaker.state == "closed"
-    breaker.record_success()  # a success resets the streak
-    for _ in range(3):
-        assert breaker.allow()
-        breaker.record_failure()
-    assert breaker.state == "open"
-    assert not breaker.allow()
-    assert breaker.short_circuited == 1
-    with pytest.raises(BreakerOpen):
-        breaker.acquire()
-
-
-def test_breaker_half_open_probe_closes_on_success():
-    clock = FakeClock()
-    breaker = CircuitBreaker(
-        failure_threshold=1, recovery_seconds=5.0, clock=clock.now
+    assert pauses == []
+    assert "attempt 1/1" in report.outcomes[0].error
+    # The first key fails once and succeeds on its second attempt; the
+    # second key succeeds at once.  Only the retry paused.
+    pauses, report = _salvage_pauses(
+        tmp_path / "twice", monkeypatch, retries=3, failures=1
     )
-    breaker.record_failure()
-    assert breaker.state == "open"
-    clock.advance(5.0)
-    assert breaker.allow()  # the probe
-    assert breaker.state == "half-open"
-    assert not breaker.allow()  # one probe at a time
-    breaker.record_success()
-    assert breaker.state == "closed"
-    assert breaker.stats()["transitions"] == ["open", "half-open", "closed"]
-
-
-def test_breaker_half_open_probe_failure_reopens_fresh_window():
-    clock = FakeClock()
-    breaker = CircuitBreaker(
-        failure_threshold=1, recovery_seconds=5.0, clock=clock.now
-    )
-    breaker.record_failure()
-    clock.advance(5.0)
-    assert breaker.allow()
-    breaker.record_failure()  # the probe failed
-    assert breaker.state == "open"
-    clock.advance(4.9)  # the window restarted at the probe failure
-    assert not breaker.allow()
-    clock.advance(0.1)
-    assert breaker.allow()
-
-
-def test_breaker_validates():
-    with pytest.raises(ValueError):
-        CircuitBreaker(failure_threshold=0)
-    with pytest.raises(ValueError):
-        CircuitBreaker(recovery_seconds=-1.0)
-
-
-# ----------------------------------------------------------------------
-# FaultPlan
-# ----------------------------------------------------------------------
-
-
-def test_fault_plan_parses_the_full_clause_syntax():
-    plan = FaultPlan.parse(
-        "seed=7;delay=0.05;remote.send=reset:2;store.load=corrupt:*@0.5"
-    )
-    assert plan.seed == 7
-    assert plan.delay == 0.05
-    send = plan.rules["remote.send"]
-    assert (send.kind, send.times, send.rate) == ("reset", 2, 1.0)
-    load = plan.rules["store.load"]
-    assert (load.kind, load.times, load.rate) == ("corrupt", None, 0.5)
-    # Comma is an accepted clause separator too.
-    assert "worker.run" in FaultPlan.parse("seed=1,worker.run=crash").rules
-
-
-@pytest.mark.parametrize(
-    "spec",
-    [
-        "gibberish",
-        "seed=x",
-        "delay=fast",
-        "nowhere.site=reset",
-        "remote.send=meltdown",
-        "remote.send=reset:zero",
-        "remote.send=reset:0",
-        "remote.send=reset@2.0",
-        "remote.send=reset;remote.send=torn",
-    ],
-)
-def test_fault_plan_rejects_malformed_specs(spec):
-    with pytest.raises(ValueError):
-        FaultPlan.parse(spec)
-
-
-def test_fault_rule_validates_site_and_kind():
-    with pytest.raises(ValueError):
-        FaultRule(site="nowhere", kind="reset")
-    with pytest.raises(ValueError):
-        FaultRule(site="remote.send", kind="meltdown")
-
-
-def test_fault_plan_times_bound_injection():
-    plan = FaultPlan.parse("store.load=corrupt:2")
-    decisions = [plan.decide("store.load") for _ in range(5)]
-    assert decisions == ["corrupt", "corrupt", None, None, None]
-    assert plan.decide("store.save") is None  # no rule, counter untouched
-    stats = plan.stats()
-    assert stats["calls"]["store.load"] == 5
-    assert stats["injected"]["store.load"] == 2
-
-
-def test_fault_plan_rate_schedule_is_seeded_and_deterministic():
-    spec = "seed=3;worker.run=error:*@0.5"
-    first = [FaultPlan.parse(spec).decide("worker.run") for _ in range(1)]
-    a = FaultPlan.parse(spec)
-    b = FaultPlan.parse(spec)
-    seq_a = [a.decide("worker.run") for _ in range(40)]
-    seq_b = [b.decide("worker.run") for _ in range(40)]
-    assert seq_a == seq_b  # same plan → same schedule
-    assert 0 < seq_a.count("error") < 40  # the rate actually gates
-    reseeded = FaultPlan.parse("seed=4;worker.run=error:*@0.5")
-    seq_c = [reseeded.decide("worker.run") for _ in range(40)]
-    assert seq_a != seq_c
-    del first
-
-
-def test_env_activation_and_explicit_override(monkeypatch):
-    assert faults.active_plan() is None
-    assert faults.inject("remote.send") is None
-    monkeypatch.setenv(FAULTS_ENV, "seed=2;delay=0.2;remote.send=reset")
-    plan = faults.active_plan()
-    assert plan is not None and plan.seed == 2
-    assert faults.delay_seconds() == 0.2
-    assert faults.inject("remote.send") == "reset"
-    assert faults.inject("remote.send") is None  # times=1 exhausted
-    assert faults.injected_stats()["injected"] == {"remote.send": 1}
-    # set_plan overrides the environment; None restores it.
-    explicit = FaultPlan.parse("seed=9;store.load=corrupt")
-    faults.set_plan(explicit)
-    assert faults.active_plan() is explicit
-    faults.set_plan(None)
-    assert faults.active_plan() is plan
-
-
-def test_invalid_env_spec_disables_injection(monkeypatch, caplog):
-    monkeypatch.setenv(FAULTS_ENV, "not a plan at all")
-    with caplog.at_level("ERROR", logger="repro.resilience"):
-        assert faults.active_plan() is None
-        assert faults.inject("remote.send") is None
-    assert any("ignoring invalid" in r.message for r in caplog.records)
-    assert faults.injected_stats() == {}
+    assert report.ok
+    assert [o.attempts for o in report.outcomes] == [2, 1]
+    assert pauses == [0.05]

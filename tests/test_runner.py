@@ -6,6 +6,7 @@ the pipeline is deterministic per key, and workers communicate only
 through the store.
 """
 
+import os
 from pathlib import Path
 
 import pytest
@@ -66,7 +67,7 @@ def test_parallel_sqlite_matches_sequential_json_payloads(tmp_path):
     }
     with SqliteStudyStore(tmp_path / "sq") as store:
         for key in MATRIX:
-            assert store.raw_payload(key) == json_texts[key.slug]
+            assert store.load_text(key) == json_texts[key.slug]
 
 
 def test_second_run_is_all_cache_hits_and_failures_are_contained(tmp_path):
@@ -314,6 +315,34 @@ def test_run_study_surfaces_a_raising_store_load(tmp_path, monkeypatch):
     assert JsonDirectoryStore(tmp_path).load(MATRIX[0]) is not None
 
 
+def test_run_study_heals_a_corrupt_sqlite_row(tmp_path):
+    key = MATRIX[0]
+    assert run_study(key, "sqlite", str(tmp_path)).status == "computed"
+    with SqliteStudyStore(tmp_path) as store:
+        good = store.load_text(key)
+        store.save_text(key, good[: len(good) // 2])
+    outcome = run_study(key, "sqlite", str(tmp_path))
+    assert outcome.status == "computed"
+    assert outcome.error == ""
+    with SqliteStudyStore(tmp_path) as store:
+        assert store.load_text(key) == good
+    assert run_study(key, "sqlite", str(tmp_path)).status == "cached"
+
+
+def test_run_study_keeps_a_study_whose_save_fails(tmp_path, monkeypatch):
+    # Saves are best-effort: the study is computed, the failed save is
+    # a note on the outcome, and nothing reaches the store.
+    def refuse(self, key, text):
+        raise OSError("read-only store")
+
+    monkeypatch.setattr(JsonDirectoryStore, "save_text", refuse)
+    outcome = run_study(MATRIX[0], "json", str(tmp_path))
+    assert outcome.status == "computed"
+    assert outcome.error == "store save failed (OSError: read-only store)"
+    monkeypatch.undo()
+    assert JsonDirectoryStore(tmp_path).load_text(MATRIX[0]) is None
+
+
 def test_runner_salvages_a_broken_process_pool(tmp_path, monkeypatch):
     # When a worker dies the pool poisons every pending future with
     # BrokenProcessPool.  The runner must keep the studies that
@@ -370,12 +399,10 @@ def test_runner_salvages_a_broken_process_pool(tmp_path, monkeypatch):
 def test_salvage_retries_failed_keys_and_records_attempts(
     tmp_path, monkeypatch
 ):
-    # First in-process attempt of the salvage path fails (injected
-    # worker.run error); the retry policy gives the key a second
-    # attempt, which succeeds, and the outcome records both.
+    # First in-process attempt of the salvage path fails; the key gets
+    # a second attempt, which succeeds, and the outcome records both.
     from concurrent.futures.process import BrokenProcessPool
 
-    from repro.resilience import FaultPlan, faults
     from repro.runner import runner as runner_module
 
     class ExplodingPool:
@@ -389,13 +416,19 @@ def test_salvage_retries_failed_keys_and_records_attempts(
             return False
 
     monkeypatch.setattr(runner_module, "ProcessPoolExecutor", ExplodingPool)
-    faults.set_plan(FaultPlan.parse("seed=1;worker.run=error:1"))
-    try:
-        report = StudyRunner(
-            cache_dir=tmp_path, store="json", jobs=2, retries=2
-        ).run(MATRIX[:2])
-    finally:
-        faults.set_plan(None)
+    compute = runner_module.compute_study_results
+    calls = []
+
+    def fail_once(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise RuntimeError("simulated study failure")
+        return compute(*args)
+
+    monkeypatch.setattr(runner_module, "compute_study_results", fail_once)
+    report = StudyRunner(
+        cache_dir=tmp_path, store="json", jobs=2, retries=2
+    ).run(MATRIX[:2])
     assert report.ok
     first, second = report.outcomes
     assert first.status == "computed" and first.attempts == 2
@@ -409,7 +442,6 @@ def test_salvage_exhausting_retries_reports_the_failure(
 ):
     from concurrent.futures.process import BrokenProcessPool
 
-    from repro.resilience import FaultPlan, faults
     from repro.runner import runner as runner_module
 
     class ExplodingPool:
@@ -423,20 +455,54 @@ def test_salvage_exhausting_retries_reports_the_failure(
             return False
 
     monkeypatch.setattr(runner_module, "ProcessPoolExecutor", ExplodingPool)
-    # Every worker.run attempt fails: both retries burn, the key fails.
-    faults.set_plan(FaultPlan.parse("seed=2;worker.run=error:*"))
-    try:
-        report = StudyRunner(
-            cache_dir=tmp_path, store="json", jobs=2, retries=2
-        ).run(MATRIX[:2])
-    finally:
-        faults.set_plan(None)
+
+    def always_fail(*args):
+        raise RuntimeError("simulated study failure")
+
+    # Every attempt fails: both retries burn, the key fails.
+    monkeypatch.setattr(runner_module, "compute_study_results", always_fail)
+    report = StudyRunner(
+        cache_dir=tmp_path, store="json", jobs=2, retries=2
+    ).run(MATRIX[:2])
     assert not report.ok
     for outcome in report.outcomes:
         assert outcome.status == "failed"
         assert outcome.attempts == 2
-        assert "injected fault: worker.run error" in outcome.error
+        assert "RuntimeError: simulated study failure" in outcome.error
         assert "attempt 2/2" in outcome.error
+
+
+def _crash_first_study(args):
+    """Pool-child body: the first study to claim the marker file dies
+    hard (``os._exit``, as an OOM kill or segfault would), breaking the
+    pool; every other study runs normally."""
+    key, store_kind, cache_dir = args
+    try:
+        os.close(os.open(f"{cache_dir}.crashed", os.O_CREAT | os.O_EXCL))
+    except FileExistsError:
+        return run_study(key, store_kind, cache_dir)
+    os._exit(3)
+
+
+def test_runner_salvages_a_real_worker_crash_byte_identically(
+    tmp_path, monkeypatch
+):
+    from repro.runner import runner as runner_module
+
+    keys = MATRIX[:2]
+    plain = tmp_path / "plain"
+    assert StudyRunner(cache_dir=plain, store="json", jobs=1).run(keys).ok
+    monkeypatch.setattr(runner_module, "_run_study_args", _crash_first_study)
+    crashed = tmp_path / "crashed"
+    report = StudyRunner(cache_dir=crashed, store="json", jobs=2).run(keys)
+    assert (tmp_path / "crashed.crashed").exists()  # a child did die
+    assert report.ok
+    assert any("worker pool broke" in o.error for o in report.outcomes)
+    for key in keys:
+        assert (
+            JsonDirectoryStore(crashed).path_for(key).read_bytes()
+            == JsonDirectoryStore(plain).path_for(key).read_bytes()
+        )
 
 
 def test_runner_rejects_non_positive_retries(tmp_path):

@@ -23,7 +23,7 @@ from repro.core.discriminants import (
     ProfiledTimeDiscriminant,
 )
 from repro.expressions.registry import get_expression
-from repro.figures.cache import JsonDirectoryStore, StudyKey
+from repro.figures.cache import JsonDirectoryStore, StudyKey, StudyStore
 from repro.machine.presets import paper_machine
 from repro.profiles.benchmark import standard_profiles
 from repro.service import (
@@ -203,7 +203,7 @@ def test_engine_reads_through_store_then_lru(tmp_path):
     assert fresh.select("aatb", [1, 2, 3]).study_source == "lru"
 
 
-def test_engine_survives_a_broken_store():
+def test_engine_survives_a_broken_store(engine):
     class BrokenStore:
         kind = "broken"
 
@@ -213,14 +213,37 @@ def test_engine_survives_a_broken_store():
         def save(self, key, *results):
             raise OSError("store down")
 
-    engine = SelectionEngine(scale="quick", seed=0, store=BrokenStore())
-    selection = engine.select("aatb", [100, 200, 300])
+    class CorruptStore(StudyStore):
+        # A torn payload: every load decodes to a miss.
+        kind = "corrupt"
+
+        def load_text(self, key):
+            return '{"schema":2,"scale":"quick","seed":0,"search":{"ano'
+
+        def save_text(self, key, text):
+            pass
+
+    broken = SelectionEngine(scale="quick", seed=0, store=BrokenStore())
+    selection = broken.select("aatb", [100, 200, 300])
     assert selection.study_source == "computed"
     assert selection.in_known_anomaly_region in (True, False)
-    stats = engine.stats()
+    stats = broken.stats()
     assert stats["store"]["errors"] >= 2  # the load and the write-back
     # Selection itself never degrades with the store.
-    assert engine.select("aatb", [1, 2, 3]).study_source == "lru"
+    assert broken.select("aatb", [1, 2, 3]).study_source == "lru"
+
+    corrupt = SelectionEngine(scale="quick", seed=0, store=CorruptStore())
+    assert corrupt.select("aatb", DIMS[0]).study_source == "computed"
+    assert corrupt.stats()["store"]["misses"] == 1
+
+    def answers(chosen):
+        return [
+            (s.algorithm_index, s.in_known_anomaly_region)
+            for s in chosen.select_many("aatb", DIMS)
+        ]
+
+    # Both degraded engines pick and annotate exactly as a clean one.
+    assert answers(broken) == answers(corrupt) == answers(engine)
 
 
 def test_engine_warm_preloads_the_lru(tmp_path):
@@ -499,12 +522,19 @@ def test_http_stats_carries_a_resilience_section(engine):
     status, stats = asyncio.run(run())
     assert status == 200
     resilience = stats["resilience"]
+    assert set(resilience) == {
+        "deadline_seconds",
+        "max_inflight",
+        "inflight",
+        "draining",
+        "shed",
+        "deadline_exceeded",
+    }
     assert resilience["deadline_seconds"] == 2.5
     assert resilience["max_inflight"] == 8
     assert resilience["draining"] is False
     assert resilience["shed"] == 0
     assert resilience["deadline_exceeded"] == 0
-    assert resilience["faults"] == {}  # no active fault plan
 
 
 def test_http_stats_schema_end_to_end(engine):
@@ -556,25 +586,6 @@ def test_http_stats_schema_end_to_end(engine):
     assert isinstance(stats["lru"]["capacity"], int)
     assert "kind" in stats["store"]
     assert isinstance(stats["requests"]["errors"], int)
-
-
-def test_engine_stats_surface_store_resilience_counters():
-    class ResilientStore:
-        kind = "remote"
-
-        def load(self, key):
-            return None
-
-        def save(self, key, *results):
-            pass
-
-        def resilience_stats(self):
-            return {"retries": 3, "breaker": {"state": "closed"}}
-
-    engine = SelectionEngine(scale="quick", seed=0, store=ResilientStore())
-    store_stats = engine.stats()["store"]
-    assert store_stats["resilience"]["retries"] == 3
-    assert store_stats["resilience"]["breaker"]["state"] == "closed"
 
 
 def test_http_deadline_overrun_answers_503(engine):
@@ -682,6 +693,56 @@ def test_http_drain_stops_accepting_and_reports_final_stats(engine):
     assert final["resilience"]["inflight"] == 0
     assert final["requests"]["select"] == 1
     assert refused
+
+
+def test_http_drain_finishes_an_inflight_request(engine):
+    async def run():
+        service = SelectionService(engine, port=0)
+        await service.start()
+        port = service.port
+        select = service.batcher.select
+        entered, release = asyncio.Event(), asyncio.Event()
+
+        async def held(*args, **kwargs):
+            entered.set()
+            await release.wait()
+            return await select(*args, **kwargs)
+
+        service.batcher.select = held
+        inflight = asyncio.create_task(
+            _request(
+                port,
+                "POST",
+                "/select",
+                {"expression": "aatb", "dims": [100, 200, 300]},
+            )
+        )
+        await asyncio.wait_for(entered.wait(), 5)
+        drain = asyncio.create_task(service.drain())
+        await asyncio.sleep(0.05)
+        # The listener closes while the request is still in flight...
+        refused = False
+        try:
+            _reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.close()
+        except OSError:
+            refused = True
+        held_open = service.stats()["resilience"]["inflight"] == 1
+        # ...and the request still gets its complete answer.
+        release.set()
+        final = await asyncio.wait_for(drain, 5)
+        status, payload = await asyncio.wait_for(inflight, 5)
+        return refused, held_open, status, payload, final
+
+    refused, held_open, status, payload, final = asyncio.run(run())
+    assert refused and held_open
+    assert status == 200
+    assert payload["algorithm"]["index"] == engine.select(
+        "aatb", [100, 200, 300]
+    ).algorithm_index
+    assert final["resilience"]["draining"] is True
+    assert final["resilience"]["inflight"] == 0
+    assert final["requests"]["select"] == 1
 
 
 def test_service_validates_overload_configuration(engine):

@@ -18,7 +18,7 @@ from repro.core.classify import Verdict
 from repro.experiments.prediction import Prediction, PredictionRecord
 from repro.experiments.random_search import Anomaly, SearchResult
 from repro.experiments.regions import DimExtent, Region, RegionCell, Regions
-from repro.figures.cache import LOCAL_STORE_KINDS, StudyKey, make_store
+from repro.figures.cache import STORE_KINDS, StudyKey, make_store
 
 KEY = StudyKey(scale="quick", seed=0, expression="aatb")
 
@@ -83,7 +83,7 @@ def _writer(kind, root, barrier):
             store.save(KEY, *study)
 
 
-@pytest.mark.parametrize("kind", LOCAL_STORE_KINDS)
+@pytest.mark.parametrize("kind", STORE_KINDS)
 def test_racing_writers_one_valid_payload_no_torn_reads(tmp_path, kind):
     search, regions, prediction, confusion = _tiny_study()
     # Reference payload: what any single writer would persist.
@@ -129,7 +129,7 @@ def test_racing_writers_one_valid_payload_no_torn_reads(tmp_path, kind):
         assert files == [f"study-v2-{KEY.slug}.json"]
 
 
-@pytest.mark.parametrize("kind", LOCAL_STORE_KINDS)
+@pytest.mark.parametrize("kind", STORE_KINDS)
 def test_concurrent_runner_workers_share_one_key(tmp_path, kind):
     """Two processes race compute-and-store on the SAME study key."""
     from repro.figures.cache import JsonDirectoryStore
@@ -159,5 +159,5 @@ def test_concurrent_runner_workers_share_one_key(tmp_path, kind):
         raced_text = JsonDirectoryStore(tmp_path).path_for(KEY).read_text()
     else:
         with make_store(kind, tmp_path) as store:
-            raced_text = store.raw_payload(KEY)
+            raced_text = store.load_text(KEY)
     assert raced_text == solo_text
