@@ -9,8 +9,7 @@ through the parallel runner and the shared
 they induce on anomaly abundance and detection recall/precision per
 expression family (:mod:`repro.ablation.report`).
 
-Run it with ``python -m repro.ablation`` or
-``python -m repro.runner --ablation``.
+Run it with ``python -m repro.ablation``.
 
 Only :mod:`~repro.ablation.components` is imported here: it sits below
 the figures layer (``FigureConfig`` validates its ``variant`` against
@@ -24,7 +23,6 @@ from repro.ablation.components import (
     STUDY_VARIANTS,
     Component,
     StudyVariant,
-    ablation_stats,
     component_names,
     get_component,
     get_variant,
@@ -37,7 +35,6 @@ __all__ = [
     "STUDY_VARIANTS",
     "Component",
     "StudyVariant",
-    "ablation_stats",
     "component_names",
     "get_component",
     "get_variant",

@@ -18,16 +18,13 @@ listing the valid names, never a KeyError traceback from the middle of
 a study run.  ``--list-components`` prints the registry and exits.
 
 The exit code is ``1`` when a study failed, ``0`` otherwise.
-
-``python -m repro.runner --ablation`` drives the same code path with
-the runner's store/jobs flags.
 """
 
 from __future__ import annotations
 
 import argparse
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.ablation.components import (
     COMPONENTS,
@@ -41,7 +38,12 @@ from repro.ablation.harness import (
 )
 from repro.ablation.report import report_markdown, write_report
 from repro.core.searchspace import NAMED_BOXES
-from repro.figures.cache import CACHE_DIR_ENV, STORE_KINDS
+from repro.figures.cache import (
+    CACHE_DIR_ENV,
+    STORE_KINDS,
+    positive_int,
+    validated_store,
+)
 
 _SCALES = ("quick", "full")
 
@@ -96,38 +98,6 @@ def parse_expressions(raw: str) -> Tuple[str, ...]:
             f"needs at least one expression name, got {raw!r}"
         )
     return names
-
-
-def validated_store(kind: str) -> str:
-    """Store-backend names get the same up-front treatment as
-    expression/scale/box names: a typo is a usage error here, not a
-    per-study failure from inside a worker process."""
-    normalized = kind.strip().lower()
-    if normalized not in STORE_KINDS:
-        raise argparse.ArgumentTypeError(
-            f"unknown store {kind!r}; known: {'/'.join(STORE_KINDS)}"
-        )
-    return normalized
-
-
-def positive_int(flag: str):
-    """An argparse type: a positive integer, or a usage error naming
-    ``flag``."""
-
-    def parse(raw: str) -> int:
-        try:
-            value = int(raw)
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"{flag} takes a positive integer, got {raw!r}"
-            ) from None
-        if value < 1:
-            raise argparse.ArgumentTypeError(
-                f"{flag} must be >= 1, got {value}"
-            )
-        return value
-
-    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -221,53 +191,12 @@ def list_components_text() -> str:
     return "\n".join(lines)
 
 
-def execute(
-    scale: str,
-    seed: int,
-    box: str,
-    expressions: Sequence[str],
-    components: Optional[Sequence[str]],
-    cache_dir: str,
-    store: str = "json",
-    jobs: int = 1,
-    retries: int = 2,
-    report_dir: Optional[str] = None,
-) -> int:
-    """Run one ablation and render it; the shared CLI body.
+def main(argv: Optional[List[str]] = None) -> int:
+    """Run one ablation and render it.
 
     Returns the process exit code: 0 on a clean run, 1 when a study
-    failed.
+    failed, 2 on a usage error.
     """
-    config_kwargs = dict(
-        scale=scale,
-        seed=seed,
-        box=box,
-        expressions=tuple(expressions),
-    )
-    if components is not None:
-        config_kwargs["components"] = tuple(components)
-    config = AblationConfig(**config_kwargs)
-    try:
-        report = run_ablation(
-            config,
-            cache_dir=cache_dir,
-            store=store,
-            jobs=jobs,
-            retries=retries,
-        )
-    except AblationError as exc:
-        print(f"error: {exc}")
-        return 1
-    print(report.run_report.summary())
-    print()
-    print(report_markdown(report))
-    if report_dir is not None:
-        json_path, markdown_path = write_report(report, Path(report_dir))
-        print(f"wrote {json_path} and {markdown_path}")
-    return 0
-
-
-def main(argv: Optional[List[str]] = None) -> int:
     import os
     import sys
 
@@ -284,15 +213,29 @@ def main(argv: Optional[List[str]] = None) -> int:
             file=sys.stderr,
         )
         return 2
-    return execute(
+    config_kwargs = dict(
         scale=args.scale,
         seed=args.seed,
         box=args.box,
-        expressions=args.expressions,
-        components=args.components,
-        cache_dir=cache_dir,
-        store=args.store,
-        jobs=args.jobs,
-        retries=args.retries,
-        report_dir=args.report_dir,
+        expressions=tuple(args.expressions),
     )
+    if args.components is not None:
+        config_kwargs["components"] = tuple(args.components)
+    try:
+        report = run_ablation(
+            AblationConfig(**config_kwargs),
+            cache_dir=cache_dir,
+            store=args.store,
+            jobs=args.jobs,
+            retries=args.retries,
+        )
+    except AblationError as exc:
+        print(f"error: {exc}")
+        return 1
+    print(report.run_report.summary())
+    print()
+    print(report_markdown(report))
+    if args.report_dir is not None:
+        json_path, markdown_path = write_report(report, Path(args.report_dir))
+        print(f"wrote {json_path} and {markdown_path}")
+    return 0

@@ -272,12 +272,3 @@ def get_component(name: str) -> Component:
         )
     return component
 
-
-def ablation_stats() -> dict:
-    """Registry snapshot for ``GET /stats``."""
-    return {
-        "components": len(COMPONENTS),
-        "component_names": list(component_names()),
-        "study_variants": sorted(STUDY_VARIANTS),
-        "detectors": list(DETECTORS),
-    }

@@ -95,9 +95,8 @@ class RealBlasBackend(Backend):
         Same semantics as the base-class loop, but the executor binding
         and every instance's operand set are resolved *before* the
         timed region, so the flush-time-flush cadence of
-        :meth:`_median_time` covers only kernel execution — the
-        scheduler's fused executors (one buffer across an ADD chain,
-        no copy-to-full materialization) then show up undiluted.
+        :meth:`_median_time` covers only ``Plan.execute``'s kernel
+        calls, not operand generation.
         """
         execute = algorithm.execute
         operand_sets = [

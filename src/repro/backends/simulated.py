@@ -203,7 +203,7 @@ class SimulatedBackend(Backend):
                 todo, first = np.unique(ids[rows], return_index=True)
                 sub = arr[rows[first]]
                 chosen = [algorithms[columns[r]] for r in lacking.tolist()]
-                plans = [a.codegen.plan.steps for a in chosen]
+                plans = [a.plan.steps for a in chosen]
                 contexts = [a.name for a in chosen]
                 if column == _MEASURED:
                     predicted = np.empty((len(chosen), todo.size))

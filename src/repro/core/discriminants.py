@@ -112,7 +112,7 @@ class _ProfileMixin:
         plans = [
             [
                 slots.setdefault((step.kernel, step.dims), len(slots))
-                for step in algorithm.codegen.plan.steps
+                for step in algorithm.plan.steps
             ]
             for algorithm in algorithms
         ]

@@ -1,24 +1,13 @@
-"""Thin real-BLAS wrappers for algorithm executors.
+"""Thin real-BLAS wrappers: the kernels ``Plan.execute`` and
+``RealBlasBackend.time_kernel`` call.
 
 SciPy's LAPACK/BLAS bindings are used when available so the real
 backend exercises the actual ``dgemm``/``dsyrk``/``dsymm`` routines
 the paper measured; otherwise NumPy matmul stands in (same results,
 kernel distinction lost).
-
-``gemm`` and ``add`` accept an optional ``out`` buffer so the plan
-scheduler can recycle a dead temporary's storage instead of
-allocating.  The contract is *bit-identical results, best-effort
-reuse*: when the buffer qualifies (``dgemm`` needs an F-contiguous
-array of the right shape; ``np.add`` takes any same-shape buffer,
-including one aliasing an input) the kernel writes into it, and when
-it does not, the wrapper falls back to a fresh allocation of the very
-same value — dgemm with a non-F ``c`` copies it and returns the copy,
-so no shape- or layout-dependent numeric path ever changes a bit.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
@@ -31,20 +20,10 @@ except Exception:  # pragma: no cover
     HAVE_SCIPY_BLAS = False
 
 
-def gemm(
-    a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """C = A B via dgemm, recycling ``out`` as the C buffer when it fits."""
+def gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """C = A B via dgemm."""
     if HAVE_SCIPY_BLAS:
-        if out is not None:
-            # beta defaults to 0.0, so the prior contents of ``out``
-            # never reach the result; dgemm copies a non-F buffer and
-            # returns the copy (same bits, reuse lost).
-            return _blas.dgemm(1.0, a, b, c=out, overwrite_c=1)
         return _blas.dgemm(1.0, a, b)
-    if out is not None and out.shape == (a.shape[0], b.shape[1]):
-        np.matmul(a, b, out=out)
-        return out
     return a @ b
 
 
@@ -64,16 +43,8 @@ def symm_lower(s: np.ndarray, b: np.ndarray) -> np.ndarray:
     return full @ b
 
 
-def add(
-    a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """C = A + B elementwise (GEADD/AXPY-style; memory-bound).
-
-    ``out`` may alias either input — elementwise addition reads each
-    element before writing it, so in-place accumulation is exact.
-    """
-    if out is not None:
-        return np.add(a, b, out=out)
+def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """C = A + B elementwise (GEADD/AXPY-style; memory-bound)."""
     return a + b
 
 
@@ -87,19 +58,3 @@ def trsm(l: np.ndarray, b: np.ndarray) -> np.ndarray:
 def fill_symmetric_from_lower(s: np.ndarray) -> np.ndarray:
     """The explicit copy step of the syrk+copy+gemm variant."""
     return np.tril(s) + np.tril(s, -1).T
-
-
-def symmetrize_lower_inplace(s: np.ndarray) -> np.ndarray:
-    """Mirror the lower triangle into the upper, in place.
-
-    Bit-equal to :func:`fill_symmetric_from_lower` for any buffer whose
-    strict upper triangle is junk (a dsyrk ``lower=1`` result): the
-    diagonal and lower triangle are left untouched and each upper
-    element is a copy of its mirrored lower element.  Used by the
-    scheduler when liveness proves the triangle has a single consumer,
-    so the separate full-size copy allocation is dropped.
-    """
-    n = s.shape[0]
-    upper = np.triu_indices(n, 1)
-    s[upper] = s.T[upper]
-    return s

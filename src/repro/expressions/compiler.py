@@ -60,7 +60,6 @@ import numpy as np
 
 from repro.expressions import blas
 from repro.expressions.base import Algorithm, Expression
-from repro.expressions.codegen import PlanCodegen
 from repro.expressions.shapes import SizeExpr, dim_symbol
 from repro.expressions.ir import (
     AddExpr,
@@ -265,7 +264,12 @@ class Plan:
         return total
 
     def execute(self, operands: Sequence[np.ndarray]) -> np.ndarray:
-        """Run the plan on real operands through the BLAS wrappers."""
+        """Run the plan on real operands through the BLAS wrappers.
+
+        The one executor: ``Algorithm.execute`` and
+        :class:`~repro.backends.real.RealBlasBackend` run this loop, so
+        a new kernel's execution recipe is one branch here.
+        """
         values: List[Optional[np.ndarray]] = [None] * len(self.steps)
 
         def resolve(ref: ValueRef) -> np.ndarray:
@@ -994,18 +998,8 @@ class CompiledExpression(Expression):
         self._namer_arg = namer
         self._plans = tuple(compile_plans(name, expr, trees, prune))
         self._algorithms = tuple(
-            self._algorithm_for(namer(plan, ordinal), plan)
+            Algorithm(namer(plan, ordinal), name, plan)
             for ordinal, plan in enumerate(self._plans, 1)
-        )
-
-    def _algorithm_for(self, algorithm_name: str, plan: Plan) -> Algorithm:
-        # Codegen attaches lazily: nothing compiles until a batch path
-        # or the executor first asks.
-        return Algorithm(
-            name=algorithm_name,
-            expression=self.name,
-            calls_builder=plan.kernel_calls,
-            codegen=PlanCodegen(plan),
         )
 
     def with_prune(

@@ -45,6 +45,7 @@ unwritable store degrades to a no-op rather than failing the pipeline.
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import sqlite3
@@ -114,6 +115,37 @@ def store_kind_from_env() -> str:
             f"got {value!r}"
         )
     return value
+
+
+def validated_store(kind: str) -> str:
+    """An argparse type for ``--store``: a typo in the store kind is a
+    usage error, not a per-study failure from inside a worker process."""
+    normalized = kind.strip().lower()
+    if normalized not in STORE_KINDS:
+        raise argparse.ArgumentTypeError(
+            f"unknown store {kind!r}; known: {'/'.join(STORE_KINDS)}"
+        )
+    return normalized
+
+
+def positive_int(flag: str):
+    """An argparse type: a positive integer, or a usage error naming
+    ``flag``.  The runner, ablation and service CLIs share it."""
+
+    def parse(raw: str) -> int:
+        try:
+            value = int(raw)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"{flag} takes a positive integer, got {raw!r}"
+            ) from None
+        if value < 1:
+            raise argparse.ArgumentTypeError(
+                f"{flag} must be >= 1, got {value}"
+            )
+        return value
+
+    return parse
 
 
 def study_path(cache_dir: Path, key: StudyKey) -> Path:

@@ -16,13 +16,7 @@ matrix ride along via ``--extra scale:seed:expression[:box]``.
 anomaly-abundance-vs-search-volume figure from the freshly warmed
 store.
 
-``--ablation`` runs the baseline-plus-one-off ablation matrix instead
-of the plain matrix (see :mod:`repro.ablation`): every registered
-component — or the ``--ablation-components`` subset — is flipped off
-one at a time, and the ranked science-delta report is printed (and
-written to ``--report-dir`` when given).  Ablation takes exactly one
-scale and one seed, so ``--abundance``/``--extra`` are usage errors
-with it.
+The ablation matrix has its own CLI, ``python -m repro.ablation``.
 
 Expression names, boxes, scales and store kinds are validated up front
 against :func:`repro.expressions.registry.is_known_expression` and the
@@ -37,11 +31,6 @@ import os
 import sys
 from typing import List, Optional, Sequence, Tuple
 
-from repro.ablation.cli import (
-    parse_components,
-    positive_int,
-    validated_store,
-)
 from repro.core.searchspace import NAMED_BOXES
 from repro.expressions.registry import (
     expression_name_help,
@@ -53,6 +42,8 @@ from repro.figures.cache import (
     StudyKey,
     StudyStore,
     make_store,
+    positive_int,
+    validated_store,
 )
 from repro.runner.runner import StudyRunner, study_matrix
 
@@ -153,27 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
         "anomaly-abundance-vs-search-volume figure",
     )
     parser.add_argument(
-        "--ablation",
-        action="store_true",
-        help="run the baseline-plus-one-off ablation matrix and print "
-        "the ranked science-delta report (see python -m repro.ablation)",
-    )
-    parser.add_argument(
-        "--ablation-components",
-        type=parse_components,
-        default=None,
-        metavar="NAME[,NAME...]",
-        help="with --ablation: ablate only these components "
-        "(default: the whole registry)",
-    )
-    parser.add_argument(
-        "--report-dir",
-        default=None,
-        metavar="DIR",
-        help="with --ablation: also write the JSON + markdown report "
-        "artefacts into DIR",
-    )
-    parser.add_argument(
         "--jobs",
         type=positive_int("--jobs"),
         default=1,
@@ -265,46 +235,6 @@ def _render_abundance(
     return "\n\n".join(blocks), complete
 
 
-def _run_ablation(
-    parser: argparse.ArgumentParser,
-    args: argparse.Namespace,
-    scales: Tuple[str, ...],
-    expressions: Optional[List[str]],
-    cache_dir: str,
-) -> int:
-    """Dispatch ``--ablation`` to the shared ablation CLI body.
-
-    The ablation matrix is one (scale, seed, box) with the component
-    axis swept, and components own the variant knob — the plain
-    matrix's multi-valued flags are usage errors.
-    """
-    from repro.ablation.cli import execute
-    from repro.ablation.harness import DEFAULT_EXPRESSIONS
-
-    if args.abundance or args.extra:
-        parser.error("--ablation cannot be combined with --abundance/--extra")
-    if len(scales) != 1:
-        parser.error("--ablation takes exactly one --scale")
-    if len(args.seeds) != 1:
-        parser.error("--ablation takes exactly one seed in --seeds")
-    return execute(
-        scale=scales[0],
-        seed=args.seeds[0],
-        box=args.box,
-        expressions=(
-            tuple(expressions)
-            if expressions is not None
-            else DEFAULT_EXPRESSIONS
-        ),
-        components=args.ablation_components,
-        cache_dir=cache_dir,
-        store=args.store,
-        jobs=args.jobs,
-        retries=args.retries,
-        report_dir=args.report_dir,
-    )
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -327,12 +257,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             except argparse.ArgumentTypeError as exc:
                 parser.error(f"--expressions: {exc}")
     scales = tuple(args.scale) if args.scale else ("quick",)
-    if args.ablation:
-        return _run_ablation(parser, args, scales, expressions, cache_dir)
-    if args.ablation_components is not None or args.report_dir is not None:
-        parser.error(
-            "--ablation-components/--report-dir require --ablation"
-        )
     extras = tuple(args.extra)
     abundance_names: Tuple[str, ...] = ()
     if args.abundance:

@@ -32,21 +32,10 @@ from repro.figures.cache import (
     STORE_KINDS,
     StudyStore,
     make_store,
+    positive_int,
 )
 from repro.service.engine import DEFAULT_LRU_CAPACITY, SelectionEngine
 from repro.service.http import SelectionService
-
-
-def _positive_int(raw: str) -> int:
-    try:
-        value = int(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {raw!r}"
-        ) from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -92,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--lru-capacity",
-        type=_positive_int,
+        type=positive_int("--lru-capacity"),
         default=DEFAULT_LRU_CAPACITY,
         help=f"hot-study LRU capacity (default: {DEFAULT_LRU_CAPACITY})",
     )
@@ -110,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--deadline-ms",
-        type=_positive_int,
+        type=positive_int("--deadline-ms"),
         default=None,
         metavar="MS",
         help="per-request deadline in milliseconds; overruns answer "
@@ -118,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--max-inflight",
-        type=_positive_int,
+        type=positive_int("--max-inflight"),
         default=None,
         metavar="N",
         help="shed selection requests beyond N in flight with an "

@@ -37,13 +37,11 @@ from repro.core.searchspace import NAMED_BOXES
 from repro.experiments.regions import Regions
 from repro.expressions.base import Algorithm, Expression
 from repro.expressions.codegen import codegen_stats
-from repro.expressions.scheduler import scheduler_stats
 from repro.expressions.registry import (
     expression_name_help,
     get_expression,
     is_known_expression,
 )
-from repro.ablation.components import ablation_stats
 from repro.figures.cache import StudyKey, StudyStore
 from repro.figures.common import FigureConfig, compute_study_results
 from repro.machine.presets import paper_machine
@@ -416,7 +414,5 @@ class SelectionEngine:
                 "expressions_loaded": sorted(self._expressions),
             },
             "codegen": codegen_stats(),
-            "scheduler": scheduler_stats(),
-            "ablation": ablation_stats(),
             **self.studies.stats(),
         }

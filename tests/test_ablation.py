@@ -12,8 +12,8 @@ import json
 
 import pytest
 
+from repro.ablation.cli import build_parser
 from repro.ablation.cli import main as ablation_main
-from repro.ablation.cli import positive_int, validated_store
 from repro.ablation.components import (
     COMPONENTS,
     DEFAULT_VARIANT,
@@ -24,6 +24,7 @@ from repro.ablation.components import (
     get_variant,
 )
 from repro.ablation.harness import (
+    DEFAULT_EXPRESSIONS,
     METRIC_NAMES,
     AblationConfig,
     ScienceMetrics,
@@ -33,7 +34,7 @@ from repro.ablation.harness import (
     run_ablation,
 )
 from repro.ablation.report import report_json, report_markdown, write_report
-from repro.runner.__main__ import main as runner_main
+from repro.figures.cache import positive_int, validated_store
 
 
 # ----------------------------------------------------------------------
@@ -346,6 +347,15 @@ def test_cli_rejects_bad_counts_and_stores(tmp_path, capsys, argv, fragment):
     assert fragment in capsys.readouterr().err
 
 
+def test_cli_defaults():
+    args = build_parser().parse_args([])
+    assert (args.scale, args.seed, args.box) == ("quick", 0, "paper_box")
+    assert args.expressions == DEFAULT_EXPRESSIONS
+    assert args.components is None
+    assert (args.jobs, args.store, args.retries) == (1, "json", 2)
+    assert args.report_dir is None
+
+
 def test_cli_list_components(capsys):
     assert ablation_main(["--list-components"]) == 0
     out = capsys.readouterr().out
@@ -372,36 +382,3 @@ def test_cli_runs_and_writes_reports(tmp_path, capsys):
     assert "Ablation report" in out
     assert (report_dir / "ablation-report.json").exists()
     assert (report_dir / "ablation-report.md").exists()
-
-
-def test_runner_cli_ablation_delegates(tmp_path, capsys):
-    code = runner_main(
-        [
-            "--ablation",
-            "--expressions",
-            "aatb",
-            "--ablation-components",
-            "no-variant-dispatch",
-            "--cache-dir",
-            str(tmp_path),
-        ]
-    )
-    assert code == 0
-    assert "Ablation report" in capsys.readouterr().out
-
-
-def test_runner_cli_ablation_flag_conflicts(tmp_path, capsys):
-    for argv, fragment in [
-        (["--ablation", "--abundance"], "--abundance"),
-        (["--ablation", "--seeds", "0,1"], "one seed"),
-        (
-            ["--ablation", "--scale", "quick", "--scale", "full"],
-            "one --scale",
-        ),
-        (["--ablation-components", "no-noise"], "--ablation"),
-        (["--report-dir", "x"], "--ablation"),
-    ]:
-        with pytest.raises(SystemExit) as excinfo:
-            runner_main(argv + ["--cache-dir", str(tmp_path)])
-        assert excinfo.value.code == 2, argv
-        assert fragment in capsys.readouterr().err, argv

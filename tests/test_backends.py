@@ -80,6 +80,19 @@ def test_simulated_backend_refuses_instances_of_the_wrong_width(
     assert np.all(call(*arguments((100, 200, 300))) > 0)
 
 
+def test_scalar_and_batch_paths_agree_on_sum3():
+    backend = SimulatedBackend(paper_machine(seed=1))
+    expression = get_expression("sum3")
+    instance = tuple(30 + 11 * i for i in range(expression.n_dims))
+    for algorithm in expression.algorithms():
+        scalar = backend.time_algorithm(algorithm, instance)
+        batch = backend.time_algorithms(algorithm, [instance])
+        assert scalar == batch[0]
+        assert backend.predict_time(algorithm, instance) == (
+            backend.predict_times(algorithm, [instance])[0]
+        )
+
+
 def test_total_efficiency_bounded_by_one():
     backend = SimulatedBackend(paper_machine(seed=0))
     chain = get_expression("chain4")
@@ -112,6 +125,28 @@ def test_real_backend_times_are_positive():
     from repro.kernels.types import KernelName
 
     assert backend.time_kernel(KernelName.GEMM, (32, 32, 32)) > 0
+
+
+def test_real_backend_batch_timing_runs_the_plan(monkeypatch):
+    # time_algorithms times Plan.execute once per rep on each
+    # instance's own operands.
+    from repro.expressions.compiler import Plan
+
+    shapes = []
+    execute = Plan.execute
+
+    def spy(plan, operands):
+        result = execute(plan, operands)
+        shapes.append(result.shape)
+        return result
+
+    monkeypatch.setattr(Plan, "execute", spy)
+    backend = RealBlasBackend(reps=2)
+    algorithm = get_expression("aatb").algorithms()[1]
+    times = backend.time_algorithms(algorithm, [(6, 9, 4), (5, 3, 8)])
+    assert times.shape == (2,)
+    assert np.all(times > 0)
+    assert shapes == [(6, 4)] * 2 + [(5, 8)] * 2
 
 
 def test_backends_reject_bad_reps():

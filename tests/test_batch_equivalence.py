@@ -99,7 +99,7 @@ def test_algorithm_batches_match_scalar(preset, seed, aatb, chain):
         instances = _instances(expression.n_dims, count, seed=seed)
         arr = np.asarray(instances, dtype=np.int64)
         algorithms = expression.algorithms()
-        steps = [a.codegen.plan.steps for a in algorithms]
+        steps = [a.plan.steps for a in algorithms]
         names = [a.name for a in algorithms]
         measured = machine.measure_plans_batch(arr, steps, names)
         predicted = machine.predict_plans_batch(arr, steps, names)

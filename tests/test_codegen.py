@@ -1,6 +1,6 @@
 """Plan codegen equivalence: generated evaluators ≡ the interpreter.
 
-The generated functions and the plan steps are the only runtime path;
+The generated FLOP evaluators and the plan steps are the runtime path;
 the interpreter is the oracle.  For every registered family (plus
 ``sum6``, which compiles under the cost-guided pruning pass), they
 must match it **bit for bit** on seeded instance batches, up to the
@@ -11,8 +11,8 @@ exact-arithmetic bound (:func:`max_exact_dim`):
   exact Python-int ``algorithm.flops`` of every row;
 * each plan step's kernel, ``reads_previous`` and instance columns
   equal ``batch_kernel_calls`` over the interpreted call sequence;
-* the generated NumPy executor equals ``Plan.execute`` on real
-  operands (same BLAS wrappers replayed in the same order).
+* two algorithms share one evaluator object exactly when their FLOP
+  polynomials are equal, the identity ``batch_flops`` dedupes by.
 """
 
 import random
@@ -23,12 +23,7 @@ import pytest
 
 from repro.core.classify import max_exact_dim
 from repro.core.symbolic import flop_polynomial
-from repro.expressions.codegen import (
-    clear_codegen_caches,
-    codegen_stats,
-    compiled_plan,
-    plan_signature,
-)
+from repro.expressions.codegen import clear_codegen_caches, codegen_stats
 from repro.expressions.registry import get_expression
 from repro.expressions.shapes import SizeExpr, dim_symbols
 from repro.kernels.types import batch_kernel_calls
@@ -108,7 +103,7 @@ def test_plan_steps_match_interpreted_calls(family):
     expression = get_expression(family)
     for arr in _instance_batches(expression, seed=len(family)):
         for algorithm in expression.algorithms():
-            steps = algorithm.codegen.plan.steps
+            steps = algorithm.plan.steps
             interpreted = _interpreted_batches(algorithm, arr)
             assert len(steps) == len(interpreted)
             for step, want in zip(steps, interpreted):
@@ -120,49 +115,48 @@ def test_plan_steps_match_interpreted_calls(family):
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-def test_codegen_executor_bit_equal_to_plan_execute(family):
+def test_evaluators_shared_exactly_by_equal_polynomials(family):
+    # ``batch_flops`` reuses one column for every algorithm holding the
+    # same evaluator object: sharing across unequal polynomials would
+    # give an algorithm another's FLOPs, so identity must track
+    # polynomial equality in both directions.
     expression = get_expression(family)
-    rng_seed = 11
-    instances = [
-        tuple(random.Random(rng_seed + i).randint(2, 24)
-              for _ in range(expression.n_dims))
-        for i in range(3)
-    ]
-    for plan, algorithm in zip(expression.plans(), expression.algorithms()):
-        code = compiled_plan(plan)
-        for i, instance in enumerate(instances):
-            operands = expression.make_operands(
-                instance, np.random.default_rng(rng_seed + i)
+    algorithms = expression.algorithms()
+    polys = [flop_polynomial(a, expression.n_dims) for a in algorithms]
+    fns = [a.flops_batch_function() for a in algorithms]
+    for i in range(len(algorithms)):
+        for j in range(i + 1, len(algorithms)):
+            same_poly = polys[i].key() == polys[j].key()
+            assert (fns[i] is fns[j]) == same_poly, (
+                algorithms[i].name, algorithms[j].name
             )
-            interpreted = plan.execute(operands)
-            generated = code.execute(operands)
-            assert generated.dtype == interpreted.dtype
-            assert np.array_equal(generated, interpreted)
-            # The Algorithm's executor routes through the provider.
-            assert np.array_equal(algorithm.execute(operands), interpreted)
 
 
 def test_plan_cache_and_flops_sharing_stats():
     clear_codegen_caches()
-    expression = get_expression("aatb")
-    plans = expression.plans()
-    codes = [compiled_plan(p) for p in plans]
+    # A fresh compile: the evaluator cache was just dropped, and the
+    # algorithms resolve their evaluators on first use.
+    algorithms = get_expression("aatb").with_prune(None).algorithms()
+    fns = [a.flops_batch_function() for a in algorithms]
     stats = codegen_stats()
-    assert stats["plans_compiled"] == len(plans)
-    assert stats["plan_cache_size"] == len(plans)
-    # aatb's five plans hold only three distinct FLOP polynomials
+    # aatb's five algorithms hold only three distinct FLOP polynomials
     # (aatb-1/2 share one, aatb-3/4 share another): plans with equal
     # polynomials share one compiled function *object*.
+    assert len({id(fn) for fn in fns}) == 3
     assert stats["flops_functions"] == 3
     assert stats["flops_fns_shared"] == 2
-    assert codes[0].flops is codes[1].flops
-    assert codes[2].flops is codes[3].flops
-    assert codes[0].flops is not codes[2].flops
-    # Re-compiling an identical plan is a cache hit, not a rebuild.
-    before = codegen_stats()["plan_cache_hits"]
-    again = compiled_plan(plans[0])
-    assert again is codes[0]
-    assert codegen_stats()["plan_cache_hits"] == before + 1
+    assert stats["flops_batches"] == len(algorithms)
+    assert fns[0] is fns[1]
+    assert fns[2] is fns[3]
+    assert fns[0] is not fns[2]
+    # A second lookup returns the same object without another
+    # resolution: the algorithm holds its evaluator.
+    again = [a.flops_batch_function() for a in algorithms]
+    assert all(x is y for x, y in zip(again, fns))
+    after = codegen_stats()
+    assert after["flops_functions"] == 3
+    assert after["flops_fns_shared"] == 2
+    assert after["flops_batches"] == 2 * len(algorithms)
 
 
 def test_plan_signature_distinguishes_schedules():
@@ -170,11 +164,11 @@ def test_plan_signature_distinguishes_schedules():
     names = [a.name for a in chain.algorithms()]
     left = names.index("chain4-3:(AB)(CD)/left-first")
     right = names.index("chain4-3:(AB)(CD)/right-first")
-    signatures = [plan_signature(p) for p in chain.plans()]
+    steps = [p.steps for p in chain.plans()]
     # Different schedules of one tree are distinct plans (their step
     # order differs), and all six chain4 algorithms are distinct.
-    assert signatures[left] != signatures[right]
-    assert len(set(signatures)) == len(signatures)
+    assert steps[left] != steps[right]
+    assert len(set(steps)) == len(steps)
 
 
 def test_size_expr_polynomial_identities():

@@ -109,10 +109,9 @@ def test_aatb_flop_polynomials_match_hand_derivation():
 
 @pytest.mark.parametrize("expression_name", sorted(PAYLOAD_SHA256))
 def test_quick_study_payloads_byte_identical_to_pre_refactor(expression_name):
-    # The generated, scheduled runtime path must hit the *same*
-    # pre-refactor digest the interpreted implementation recorded:
-    # codegen and the scheduler's default-schedule transforms are pure
-    # perf layers, never a semantic change.
+    # The generated runtime path must hit the *same* pre-refactor
+    # digest the interpreted implementation recorded: codegen is a
+    # pure perf layer, never a semantic change.
     key = StudyKey("quick", 0, expression_name)
     config = FigureConfig(scale="quick", seed=0)
     text = encode_study(key, *compute_study_results(config, expression_name))

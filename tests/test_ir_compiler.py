@@ -7,15 +7,16 @@ or generated:
   polynomial sum of the individual kernel calls' FLOP formulas — the
   plan is the single source of truth for analysis and measurement
   alike;
-* every generated executor agrees numerically with the expression's
-  NumPy reference across random instances.
+* every plan's executor (``Plan.execute``, the only one) agrees
+  numerically with the expression's NumPy reference across random
+  instances.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.symbolic import flop_polynomial
-from repro.expressions import blas
+from repro.expressions import Algorithm, blas
 from repro.expressions.compiler import (
     CompiledExpression,
     compile_product_plans,
@@ -40,6 +41,12 @@ from repro.kernels.types import KernelName
 REGISTERED = (
     "chain4", "aatb", "gram3", "tri4", "sum3", "addchain3", "solve3"
 )
+
+#: Plan shapes the executor must also handle: sum6 (cost-guided
+#: pruning, GEMMs accumulating into the running sum), gram4 (SYRK
+#: triangles copied to full storage, same-shape GEMM temporaries) and
+#: addchain4 (ADD factors materialised before their consumers).
+EXECUTED = REGISTERED + ("sum6", "gram4", "addchain4")
 
 
 # ----------------------------------------------------------------------
@@ -112,21 +119,63 @@ def test_symbolic_flops_evaluate_to_concrete_flops(name):
             assert poly.size_hint(instance) == algorithm.flops(instance)
 
 
-@pytest.mark.parametrize("name", REGISTERED)
+def _assert_executors_match_reference(expression, instance, seed):
+    operands = expression.make_operands(
+        instance, np.random.default_rng(seed)
+    )
+    reference = expression.reference(operands)
+    scale = float(np.max(np.abs(reference))) or 1.0
+    for algorithm in expression.algorithms():
+        actual = algorithm.execute(operands)
+        assert actual.shape == reference.shape, (algorithm.name, instance)
+        deviation = float(np.max(np.abs(actual - reference))) / scale
+        assert deviation < 1e-10, (algorithm.name, instance, deviation)
+
+
+@pytest.mark.parametrize("name", EXECUTED)
 def test_executors_match_reference(name):
     expression = get_expression(name)
     rng = np.random.default_rng(7)
     for round_seed in range(3):
         instance = tuple(int(v) for v in rng.integers(3, 48, expression.n_dims))
-        operands = expression.make_operands(
-            instance, np.random.default_rng(round_seed)
+        _assert_executors_match_reference(expression, instance, round_seed)
+
+
+@pytest.mark.parametrize("name", EXECUTED)
+def test_executors_match_reference_at_unit_dims(name):
+    # Unit dims turn operands into rows, columns and scalars: every
+    # BLAS wrapper must still see the shapes the reference does.
+    expression = get_expression(name)
+    n_dims = expression.n_dims
+    for seed, instance in enumerate(
+        [
+            (1,) * n_dims,
+            tuple(1 if i % 2 else 7 for i in range(n_dims)),
+            tuple(7 if i % 2 else 1 for i in range(n_dims)),
+        ]
+    ):
+        _assert_executors_match_reference(expression, instance, seed)
+
+
+def test_algorithm_is_its_plan():
+    aatb = get_expression("aatb")
+    plans = aatb.plans()
+    first = Algorithm("x", "aatb", plans[0])
+    # Equality and hash go by name and expression, never by plan.
+    assert first == Algorithm("x", "aatb", plans[1])
+    assert hash(first) == hash(Algorithm("x", "aatb", plans[1]))
+    assert first != Algorithm("y", "aatb", plans[0])
+    assert first != Algorithm("x", "gram3", plans[0])
+    # Calls, FLOPs and execution are the plan's.
+    instance = (6, 9, 4)
+    for algorithm, plan in zip(aatb.algorithms(), plans):
+        assert algorithm.plan is plan
+        assert algorithm.kernel_calls(instance) == plan.kernel_calls(instance)
+        assert algorithm.flops(instance) == plan.flops(instance)
+        operands = aatb.make_operands(instance, np.random.default_rng(1))
+        assert np.array_equal(
+            algorithm.execute(operands), plan.execute(operands)
         )
-        reference = expression.reference(operands)
-        scale = float(np.max(np.abs(reference))) or 1.0
-        for algorithm in expression.algorithms():
-            actual = algorithm.execute(operands)
-            deviation = float(np.max(np.abs(actual - reference))) / scale
-            assert deviation < 1e-10, (algorithm.name, instance, deviation)
 
 
 @pytest.mark.parametrize("name", REGISTERED)
@@ -238,6 +287,36 @@ def test_syrk_trans_blas_wrapper():
     np.testing.assert_allclose(
         np.tril(blas.syrk_lower(a)), np.tril(a @ a.T)
     )
+
+
+def _junk_upper(matrix, rng):
+    """``matrix`` with its strict upper triangle overwritten by noise."""
+    out = np.array(matrix, order="F")
+    upper = np.triu_indices(out.shape[0], 1)
+    out[upper] = rng.standard_normal(len(upper[0]))
+    return out
+
+
+@pytest.mark.parametrize("wrapper", ("symm_lower", "trsm", "fill"))
+def test_lower_triangle_wrappers_ignore_the_upper_triangle(wrapper):
+    # A SYRK result's upper triangle is unspecified, and a triangular
+    # operand's is never read: SYMM, TRSM and the copy to full storage
+    # answer from the lower triangle alone.
+    rng = np.random.default_rng(5)
+    square = rng.standard_normal((6, 6))
+    right = rng.standard_normal((6, 4))
+    if wrapper == "symm_lower":
+        symmetric = square + square.T
+        got = blas.symm_lower(_junk_upper(symmetric, rng), right)
+        np.testing.assert_allclose(got, symmetric @ right, rtol=1e-12)
+    elif wrapper == "trsm":
+        lower = np.tril(square) + 6.0 * np.eye(6)
+        got = blas.trsm(_junk_upper(lower, rng), right)
+        np.testing.assert_allclose(lower @ got, right, rtol=1e-12, atol=1e-12)
+    else:
+        symmetric = square + square.T
+        got = blas.fill_symmetric_from_lower(_junk_upper(symmetric, rng))
+        assert np.array_equal(got, symmetric)
 
 
 def test_sum_lowering_folds_accumulation():

@@ -285,6 +285,20 @@ def test_cli_rejects_non_positive_jobs(tmp_path, capsys, raw):
     assert "--jobs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["--ablation"], ["--ablation-components", "no-noise"], ["--report-dir", "x"]],
+    ids=("ablation", "ablation-components", "report-dir"),
+)
+def test_ablation_options_are_not_runner_options(tmp_path, capsys, argv):
+    # The ablation matrix has one CLI, python -m repro.ablation.
+    with pytest.raises(SystemExit) as excinfo:
+        runner_main(argv + ["--cache-dir", str(tmp_path)])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(argv)}" in err
+
+
 def test_run_study_recomputes_when_store_entry_is_corrupt(tmp_path):
     # A corrupted store entry is a miss, not a failed study: run_study
     # recomputes and heals the entry byte-identically (the pipeline is

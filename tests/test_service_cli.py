@@ -66,7 +66,7 @@ def test_retries_is_not_an_option(capsys):
 )
 @pytest.mark.parametrize(
     "raw, fragment",
-    [("0", "must be >= 1, got 0"), ("many", "expected a positive integer")],
+    [("0", "must be >= 1, got 0"), ("many", "takes a positive integer")],
 )
 def test_count_options_take_positive_integers(flag, raw, fragment, capsys):
     err = _usage_error([flag, raw], capsys)

@@ -121,7 +121,7 @@ def _interpreted_calls(algorithm, arr):
 def _plans(algorithms, arr):
     """``(name, steps, reference call batches)`` of each algorithm."""
     return [
-        (a.name, a.codegen.plan.steps, _interpreted_calls(a, arr))
+        (a.name, a.plan.steps, _interpreted_calls(a, arr))
         for a in algorithms
     ]
 
@@ -377,7 +377,7 @@ def _peak_over_outputs(arr, plans):
     """
     algorithms = get_expression("sum4").algorithms()[:plans]
     names = [a.name for a in algorithms]
-    steps = [a.codegen.plan.steps for a in algorithms]
+    steps = [a.plan.steps for a in algorithms]
     machine = paper_machine(seed=0)
     predicted = np.empty((len(algorithms), arr.shape[0]))
     machine.measure_plans_batch(arr, steps[:1], names[:1])  # warm caches
@@ -453,7 +453,7 @@ def test_run_shaped_batches_match_the_per_call_reference(family, kind):
     expression = get_expression(family)
     algorithms = expression.algorithms()
     names = [a.name for a in algorithms]
-    steps = [a.codegen.plan.steps for a in algorithms]
+    steps = [a.plan.steps for a in algorithms]
     batches = list(_run_batches(expression.n_dims, len(family)).values())
     stacked = np.concatenate(batches)
     calls = [_interpreted_calls(a, stacked) for a in algorithms]
@@ -482,7 +482,7 @@ def test_zero_row_batches_give_empty_totals():
     names = [a.name for a in algorithms]
     arr = np.empty((0, expression.n_dims), dtype=np.int64)
     machine = paper_machine(seed=0)
-    steps = [a.codegen.plan.steps for a in algorithms]
+    steps = [a.plan.steps for a in algorithms]
     predicted = np.empty((len(algorithms), 0))
     for got in (
         machine.measure_plans_batch(arr, steps, names, predicted=predicted),
@@ -542,7 +542,7 @@ def test_one_row_pass_runs_as_array_operations(family, monkeypatch):
     """
     expression = get_expression(family)
     algorithms = expression.algorithms()
-    steps = [a.codegen.plan.steps for a in algorithms]
+    steps = [a.plan.steps for a in algorithms]
     names = [a.name for a in algorithms]
     arities = {KERNEL_ARITY[step.kernel] for plan in steps for step in plan}
     arr = _instances(expression.n_dims, 1, seed=3)[:1]
@@ -577,17 +577,17 @@ def test_call_tables_are_cached_for_tuple_steps_only():
     arr = _instances(expression.n_dims, 2, seed=1)
     machine = paper_machine(seed=0)
     machine.measure_plans_batch(
-        arr, [a.codegen.plan.steps for a in algorithms], names
+        arr, [a.plan.steps for a in algorithms], names
     )
     size = len(machine._tables)
     for _ in range(1000):
         machine.measure_plans_batch(
-            arr, [list(a.codegen.plan.steps) for a in algorithms], names
+            arr, [list(a.plan.steps) for a in algorithms], names
         )
     assert len(machine._tables) == size
-    steps = list(algorithms[0].codegen.plan.steps)
+    steps = list(algorithms[0].plan.steps)
     for source in algorithms[:2]:
-        steps[:] = source.codegen.plan.steps
+        steps[:] = source.plan.steps
         want_measured, want_predicted = reference_totals(
             machine, _interpreted_calls(source, arr), "mutated"
         )
@@ -605,7 +605,7 @@ def test_cached_call_tables_repeat_the_first_call(family, kind):
     """A repeated measurement over the same plans returns the same bits."""
     expression = get_expression(family)
     algorithms = expression.algorithms()
-    steps = [a.codegen.plan.steps for a in algorithms]
+    steps = [a.plan.steps for a in algorithms]
     names = [a.name for a in algorithms]
     arr = _instances(expression.n_dims, 64, seed=len(family))
     for machine in _machines(kind):
@@ -849,7 +849,7 @@ def test_ray_batches_draw_noise_only_at_run_heads(monkeypatch):
     assert np.array_equal(got, _fresh_measurements(algorithms, arr, 2))
     calls = heads = 0
     for algorithm in algorithms:
-        for step in algorithm.codegen.plan.steps:
+        for step in algorithm.plan.steps:
             columns = arr[:, step.dims]
             calls += 1
             heads += 1 + np.count_nonzero(
