@@ -31,8 +31,8 @@ from repro.machine.presets import paper_machine
 
 N_INSTANCES = 25
 MIN_SPEEDUP = 1.3
-#: Best-of-``REPEATS`` timing of ``LOOPS`` back-to-back runs, the same
-#: estimator bench_codegen.py uses.
+#: Best-of-``REPEATS`` timing of ``LOOPS`` back-to-back runs: the
+#: fastest repeat is the one least disturbed by other processes.
 REPEATS = 7
 LOOPS = 10
 

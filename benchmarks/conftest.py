@@ -24,17 +24,15 @@ import os
 
 import pytest
 
-from repro.figures.cache import store_kind_from_env
+from repro.figures.cache import SCALES, store_kind_from_env
 from repro.figures.common import FigureConfig
-
-_SCALES = ("quick", "full")
 
 
 def parse_bench_scale(raw: str) -> str:
     value = raw.strip().lower()
-    if value not in _SCALES:
+    if value not in SCALES:
         raise pytest.UsageError(
-            f"REPRO_BENCH_SCALE must be one of {'/'.join(_SCALES)}, "
+            f"REPRO_BENCH_SCALE must be one of {'/'.join(SCALES)}, "
             f"got {raw!r}"
         )
     return value

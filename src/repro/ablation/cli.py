@@ -40,12 +40,12 @@ from repro.ablation.report import report_markdown, write_report
 from repro.core.searchspace import NAMED_BOXES
 from repro.figures.cache import (
     CACHE_DIR_ENV,
+    SCALES,
     STORE_KINDS,
     positive_int,
+    validated_expression,
     validated_store,
 )
-
-_SCALES = ("quick", "full")
 
 
 def validated_component(name: str) -> str:
@@ -73,23 +73,9 @@ def parse_components(raw: str) -> Tuple[str, ...]:
     return names
 
 
-def _validated_expression(name: str) -> str:
-    from repro.expressions.registry import (
-        expression_name_help,
-        is_known_expression,
-    )
-
-    normalized = name.strip()
-    if not is_known_expression(normalized):
-        raise argparse.ArgumentTypeError(
-            f"unknown expression {name!r}; {expression_name_help()}"
-        )
-    return normalized
-
-
 def parse_expressions(raw: str) -> Tuple[str, ...]:
     names = tuple(
-        _validated_expression(part)
+        validated_expression(part)
         for part in raw.split(",")
         if part.strip()
     )
@@ -108,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--scale",
-        choices=_SCALES,
+        choices=SCALES,
         default="quick",
         help="study scale (default: quick)",
     )

@@ -152,6 +152,3 @@ class RealBlasBackend(Backend):
         actual = algorithm.execute(operands)
         scale = float(np.max(np.abs(expected))) or 1.0
         return float(np.max(np.abs(actual - expected))) / scale
-
-    def flops_estimate(self, algorithm: Algorithm, instance: Sequence[int]) -> int:
-        return int(algorithm.flops(tuple(map(int, instance))))

@@ -142,10 +142,6 @@ class SimulatedBackend(Backend):
     def time_kernel(self, kernel: KernelName, dims: Sequence[int]) -> float:
         return float(self.time_kernels(kernel, [dims])[0])
 
-    def kernel_efficiency(self, kernel: KernelName, dims: Sequence[int]) -> float:
-        """Noise-free analytic efficiency (used by Figure 1's ideal curves)."""
-        return self.machine.efficiency(kernel, dims)
-
     # ------------------------------------------------------------------
     # Batch protocol — vectorized through the machine
     # ------------------------------------------------------------------

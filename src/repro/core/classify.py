@@ -28,6 +28,7 @@ indexed, so callers reading columns never build one.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -36,6 +37,7 @@ import numpy as np
 from repro.backends.base import Backend
 from repro.expressions.base import Algorithm
 from repro.expressions.shapes import dim_symbol
+from repro.kernels.flops import kernel_flops_batch
 
 #: Relative tolerance when intersecting "minimum" sets: measured times
 #: are floats, FLOP counts exact ints; both use the same rule.
@@ -44,6 +46,16 @@ _REL_TOL = 1e-9
 #: FLOP counts below this are exact in :func:`batch_flops`' int64
 #: columns and in every float64 quantity derived from them.
 EXACT_FLOPS_LIMIT = 2**53
+
+#: Most stacked call-slot rows one kernel's evaluation holds, for FLOP
+#: counts and profile interpolations alike: a request's slots share one
+#: call per kernel, while a wide offline batch splits into bounded ones.
+_STACKED_ROWS = 32768
+
+#: :class:`CallSlots` of algorithm tuples, keyed by the algorithms' ids:
+#: one entry per tuple a process evaluates (an expression's
+#: ``algorithms()``), each pinning its algorithms.
+_SLOTS: dict = {}
 
 
 @dataclass(frozen=True)
@@ -195,26 +207,122 @@ class BatchEvaluation:
         )
 
 
+class CallSlots:
+    """The algorithms' steps interned into call slots.
+
+    A slot is one distinct ``(kernel, instance columns)`` call, shared
+    by every plan step that makes it.  ``kernels``: per kernel, its
+    slots and their instance columns as an ``(arity, s)`` array.
+    ``calls``: per call index ``k``, the plans with a ``k``-th call
+    (None when every plan has one) and those calls' slots.
+    """
+
+    def __init__(self, algorithms: Sequence[Algorithm]) -> None:
+        # Pins the algorithms, so no id in a cache key is reused.
+        self.algorithms = tuple(algorithms)
+        slot_of: dict = {}
+        plans = [
+            [
+                slot_of.setdefault((step.kernel, step.dims), len(slot_of))
+                for step in algorithm.plan.steps
+            ]
+            for algorithm in self.algorithms
+        ]
+        self.n_slots = len(slot_of)
+        by_kernel: dict = {}
+        for (kernel, columns), slot in slot_of.items():
+            by_kernel.setdefault(kernel, []).append((slot, columns))
+        self.kernels = [
+            (
+                kernel,
+                np.array([slot for slot, _ in members], dtype=np.intp),
+                np.array([columns for _, columns in members], dtype=np.intp).T,
+            )
+            for kernel, members in by_kernel.items()
+        ]
+        lengths = [len(plan) for plan in plans]
+        self.calls = []
+        for k in range(max(lengths, default=0)):
+            with_k = [p for p, length in enumerate(lengths) if length > k]
+            self.calls.append((
+                None if len(with_k) == len(plans)
+                else np.array(with_k, dtype=np.intp),
+                np.array([plans[p][k] for p in with_k], dtype=np.intp),
+            ))
+
+    def stacked(self, instances: np.ndarray, per_call: int):
+        """Each kernel's slots, at most ``per_call`` at a time, with
+        their dims over the ``(n, n_dims)`` instances stacked.
+
+        Yields ``(kernel, slots, dims)``: ``dims`` is ``(len(slots) * n,
+        arity)``, slot ``slots[i]``'s dims in rows ``i * n`` to
+        ``(i + 1) * n``, each column contiguous.
+        """
+        by_column = instances.T
+        for kernel, slots, columns in self.kernels:
+            for first in range(0, len(slots), per_call):
+                group = columns[:, first:first + per_call]
+                dims = by_column[group].reshape(len(group), -1).T
+                yield kernel, slots[first:first + per_call], dims
+
+    def add_calls(self, values: np.ndarray, totals: np.ndarray) -> None:
+        """Add ``(S, n)`` slot values into ``(P, n)`` plan totals.
+
+        One add per call index, so each plan adds its calls in call
+        order, as a per-plan loop would: float totals keep its bits.
+        """
+        for plans, slots in self.calls:
+            if plans is None:
+                totals += values[slots]
+            else:
+                totals[plans] += values[slots]
+
+
+def call_slots(algorithms: Sequence[Algorithm]) -> CallSlots:
+    """The algorithms' :class:`CallSlots`, interned once per tuple.
+
+    Keyed by the algorithms' ids and identity-checked, as the
+    machine's call tables are.  Only a tuple (an expression's
+    ``algorithms()``) is cached, so ad-hoc lists such as the hybrid's
+    shortlists add nothing to the cache.
+    """
+    key = tuple(map(id, algorithms))
+    table = _SLOTS.get(key)
+    if table is None or not all(
+        map(operator.is_, table.algorithms, algorithms)
+    ):
+        table = CallSlots(algorithms)
+        if isinstance(algorithms, tuple):
+            _SLOTS[key] = table
+    return table
+
+
 def batch_flops(
     algorithms: Sequence[Algorithm], instances_matrix: np.ndarray
 ) -> np.ndarray:
     """Exact ``(n, A)`` int64 FLOP counts, one column per algorithm.
 
-    Each algorithm evaluates through its compiled column expression;
-    plans sharing one FLOP polynomial share one compiled function
-    *object*, so those evaluations are deduped by function identity
-    and computed once per batch (aatb's five algorithms, for
-    instance, hold only three distinct polynomials).
+    The plans' steps are interned into call slots (:func:`call_slots`):
+    each kernel counts all of its slots with one
+    :func:`~repro.kernels.flops.kernel_flops_batch` over their columns
+    stacked, and each plan adds its slots' counts, one add per call
+    index, in row blocks of at most :data:`_STACKED_ROWS` stacked rows.
+    Integer adds are exact in any order, so every column equals
+    ``Plan.flops`` over the instance columns.
     """
-    n = instances_matrix.shape[0]
-    out = np.empty((n, len(algorithms)), dtype=np.int64)
-    shared: dict = {}
-    for j, algorithm in enumerate(algorithms):
-        fn = algorithm.flops_batch_function()
-        column = shared.get(id(fn))
-        if column is None:
-            column = shared[id(fn)] = fn(instances_matrix)
-        out[:, j] = column
+    arr = np.asarray(instances_matrix, dtype=np.int64)
+    table = call_slots(algorithms)
+    out = np.empty((arr.shape[0], len(table.algorithms)), dtype=np.int64)
+    block_rows = max(1, _STACKED_ROWS // max(table.n_slots, 1))
+    for start in range(0, arr.shape[0], block_rows):
+        rows = arr[start:start + block_rows]
+        n = rows.shape[0]
+        counts = np.empty((table.n_slots, n), dtype=np.int64)
+        for kernel, slots, dims in table.stacked(rows, _STACKED_ROWS // n):
+            counts[slots] = kernel_flops_batch(kernel, dims).reshape(-1, n)
+        totals = np.zeros((len(table.algorithms), n), dtype=np.int64)
+        table.add_calls(counts, totals)
+        out[start:start + n] = totals.T
     return out
 
 

@@ -22,14 +22,10 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from repro.backends.base import Backend
+from repro.core.classify import _STACKED_ROWS, call_slots
 from repro.expressions.base import Algorithm, instance_matrix
 from repro.kernels.types import KernelName
 from repro.profiles.benchmark import Profile
-
-#: Most stacked rows one ``Profile.predict_batch`` call interpolates:
-#: a request's slots always share one call, while a 5,000-row batch of
-#: sum4's 20 GEMM slots makes four and holds ~5 MB, not ~15 MB.
-_STACKED_ROWS = 32768
 
 
 class Discriminant:
@@ -95,46 +91,29 @@ class _ProfileMixin:
     ) -> np.ndarray:
         """``(n, A)`` profile-predicted times of every algorithm.
 
-        The plans' steps are interned into call slots, one per
-        distinct ``(kernel, instance columns)`` call, and each kernel
+        The plans' steps are interned into call slots
+        (:func:`~repro.core.classify.call_slots`), and each kernel
         interpolates all of its slots in one
         :meth:`~repro.profiles.benchmark.Profile.predict_batch` over
-        their dims stacked row-wise, in calls of at most
-        :data:`_STACKED_ROWS` rows.  Interpolation treats rows
-        independently, so stacking changes no bit.  Each plan then
-        adds its calls' slot times into zeros in call order, as the
-        scalar loop does, and ``Profile.predict`` is a one-row batch:
-        every column equals :meth:`predicted_time` bit for bit.
+        their dims stacked, in calls of at most :data:`_STACKED_ROWS`
+        rows.  Interpolation treats rows independently, so stacking
+        changes no bit.  Each plan then adds its calls' slot times into
+        zeros in call order, as the scalar loop does, and
+        ``Profile.predict`` is a one-row batch: every column equals
+        :meth:`predicted_time` bit for bit.
         """
         arr = np.asarray(instances_matrix, dtype=np.int64)
         n = arr.shape[0]
-        slots: dict = {}
-        plans = [
-            [
-                slots.setdefault((step.kernel, step.dims), len(slots))
-                for step in algorithm.plan.steps
-            ]
-            for algorithm in algorithms
-        ]
-        by_kernel: Dict[KernelName, list] = {}
-        for (kernel, columns), slot in slots.items():
-            by_kernel.setdefault(kernel, []).append((slot, columns))
-        times: list = [None] * len(slots)
+        table = call_slots(algorithms)
+        times = np.empty((table.n_slots, n))
         per_call = max(1, _STACKED_ROWS // max(n, 1))
-        for kernel, members in by_kernel.items():
+        for kernel, slots, dims in table.stacked(arr, per_call):
             profile = self.profiles.get(kernel)
             if profile is None:
                 raise KeyError(f"no profile for kernel {kernel.value}")
-            for first in range(0, len(members), per_call):
-                group = members[first:first + per_call]
-                dims = np.concatenate([arr[:, cols] for _, cols in group])
-                stacked = profile.predict_batch(dims).reshape(len(group), n)
-                for (slot, _), values in zip(group, stacked):
-                    times[slot] = values
-        total = np.zeros((len(algorithms), n))
-        for row, plan in zip(total, plans):
-            for slot in plan:
-                row += times[slot]
+            times[slots] = profile.predict_batch(dims).reshape(len(slots), n)
+        total = np.zeros((len(table.algorithms), n))
+        table.add_calls(times, total)
         return total.T
 
     def predicted_times_batch(

@@ -13,7 +13,7 @@ map straight through), we can:
 
 The polynomials are :class:`~repro.expressions.shapes.SizeExpr`
 values: exact integer polynomials over dim symbols, the same type the
-compiler's pruning and codegen use (the ``SizeVarAllocator`` idea of
+compiler's pruning uses (the ``SizeVarAllocator`` idea of
 torchinductor, without a sympy dependency).
 """
 

@@ -5,22 +5,21 @@ An *expression* is a target computation (e.g. ``A B C D`` or
 evaluate it as a sequence of BLAS kernel calls, held as its compiled
 :class:`~repro.expressions.compiler.Plan`.  The plan's steps
 (``Plan.steps``: kernel, instance columns, ``reads_previous``) are
-that sequence for every instance at once; the simulated machine and
-the profile discriminants read them over an ``(n, n_dims)`` instance
-matrix.  The FLOP count is a polynomial in the instance dims, so the
-interpreted ``kernel_calls``/``flops`` serve both numeric evaluation
-and the symbolic analysis in :mod:`repro.core.symbolic`.
+that sequence for every instance at once; the simulated machine, the
+profile discriminants and the batch FLOP counts
+(:func:`repro.core.classify.batch_flops`) read them over an
+``(n, n_dims)`` instance matrix.  The FLOP count is a polynomial in
+the instance dims, so ``kernel_calls``/``flops`` serve both numeric
+evaluation and the symbolic analysis in :mod:`repro.core.symbolic`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Any, Callable, List, Sequence, Tuple
+from typing import Any, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.expressions.codegen import count_flops_batch, flops_evaluator
 from repro.kernels.types import KernelCall
 
 
@@ -47,25 +46,6 @@ class Algorithm:
     def execute(self, operands: Sequence[np.ndarray]) -> np.ndarray:
         """Run the plan on real operands (:meth:`Plan.execute`)."""
         return self.plan.execute(operands)
-
-    @cached_property
-    def _flops_fn(self) -> Callable[[np.ndarray], np.ndarray]:
-        return flops_evaluator(self.plan)
-
-    def flops_batch_function(self) -> Callable[[np.ndarray], np.ndarray]:
-        """The compiled batch FLOP evaluator, resolved once per algorithm.
-
-        Plans sharing one FLOP polynomial share one function *object*,
-        so callers evaluating many algorithms may dedupe whole
-        evaluations by function identity (``core.classify.batch_flops``
-        does).
-        """
-        count_flops_batch()
-        return self._flops_fn
-
-    def flops_batch(self, instances_matrix: np.ndarray) -> np.ndarray:
-        """Exact ``(n,)`` int64 FLOPs over an ``(n, n_dims)`` int64 matrix."""
-        return self.flops_batch_function()(instances_matrix)
 
 
 def instance_matrix(algorithms: Sequence[Algorithm], instances) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Symbolic sizes: one shape language for FLOPs, probes and batches.
+"""Symbolic sizes: one shape language for FLOPs and pruning probes.
 
 A :class:`SizeExpr` is an exact integer polynomial over *dimension
 symbols* — interned stand-ins for positions in an instance dim vector
@@ -10,10 +10,6 @@ consumer substitutes its own way:
 * :meth:`SizeExpr.size_hint` — exact integer value at a concrete
   instance (the pruning probe and the compile-time FLOP analysis in
   :mod:`repro.core.symbolic`);
-* :meth:`SizeExpr.evaluate_columns` — vectorized evaluation over an
-  ``(n, n_dims)`` int64 instance matrix;
-* :meth:`SizeExpr.source` — deterministic, factored Python source for
-  the codegen layer (:mod:`repro.expressions.codegen`);
 * :meth:`SizeExpr.render` — the expanded, human-readable form.
 
 Monomials are canonical sorted tuples of dim indices *with
@@ -25,8 +21,7 @@ float64 evaluation is lossless.
 
 from __future__ import annotations
 
-from math import gcd
-from typing import Callable, Dict, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -63,10 +58,6 @@ class SizeExpr:
         return cls({(): int(value)})
 
     # -- canonical identity ---------------------------------------------
-
-    def key(self) -> Tuple[Tuple[Monomial, int], ...]:
-        """Canonical hashable identity (sorted monomial/coeff pairs)."""
-        return self._key
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SizeExpr):
@@ -128,39 +119,6 @@ class SizeExpr:
             total += term
         return total
 
-    def evaluate_columns(self, instances_matrix: np.ndarray) -> np.ndarray:
-        """Vectorized value over an ``(n, n_dims)`` int64 matrix.
-
-        The reference implementation of what the rendered source
-        computes — term-by-term, no factoring — used by tests to pin
-        that factoring is value-preserving.
-        """
-        arr = np.asarray(instances_matrix, dtype=np.int64)
-        total = np.zeros(arr.shape[0], dtype=np.int64)
-        for mono, coeff in sorted(self.coeffs.items()):
-            term = np.full(arr.shape[0], coeff, dtype=np.int64)
-            for dim in mono:
-                term = term * arr[:, dim]
-            total = total + term
-        return total
-
-    # -- source rendering ------------------------------------------------
-
-    def source(self, var: Callable[[int], str]) -> str:
-        """Deterministic factored Python/NumPy source for this value.
-
-        Greedy common-factor extraction: the coefficient gcd comes out
-        first, then the dim appearing in the most monomials (ties to
-        the smallest index) is factored recursively — ``2*d0²*d1 +
-        2*d0²*d2`` renders as ``2*(c0*(c0*(c1 + c2)))``-style nests
-        with far fewer array multiplies than the expanded sum.  Exact
-        over int64 columns: reassociation of integer adds/muls below
-        2**53 cannot change the value.
-        """
-        if not self.coeffs:
-            return "0"
-        return _render_sum(self.coeffs, var)
-
     def render(self, names: Sequence[str]) -> str:
         """Human-readable expanded form, highest-degree terms first.
 
@@ -191,7 +149,8 @@ class SizeExpr:
         return " + ".join(parts)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"SizeExpr({self.source(lambda d: f'd{d}')})"
+        width = max(self.used_dims(), default=-1) + 1
+        return f"SizeExpr({self.render([f'd{dim}' for dim in range(width)])})"
 
 
 def dim_symbol(index: int) -> SizeExpr:
@@ -207,62 +166,3 @@ def dim_symbol(index: int) -> SizeExpr:
 def dim_symbols(n_dims: int) -> Tuple[SizeExpr, ...]:
     """One interned symbol per dim of an ``n_dims``-instance vector."""
     return tuple(dim_symbol(i) for i in range(n_dims))
-
-
-def _render_monomial(mono: Monomial, coeff: int, var) -> str:
-    if not mono:
-        return str(coeff)
-    product = "*".join(var(d) for d in mono)
-    if coeff == 1:
-        return product
-    if coeff == -1:
-        return f"-{product}"
-    return f"{coeff}*{product}"
-
-
-def _render_sum(terms: Dict[Monomial, int], var) -> str:
-    """Render a non-empty monomial sum with greedy factoring."""
-    if len(terms) == 1:
-        ((mono, coeff),) = terms.items()
-        return _render_monomial(mono, coeff, var)
-    common = 0
-    for coeff in terms.values():
-        common = gcd(common, abs(coeff))
-    if all(coeff < 0 for coeff in terms.values()):
-        common = -common
-    if common != 1:
-        inner = _render_sum(
-            {m: c // common for m, c in sorted(terms.items())}, var
-        )
-        return f"{common}*({inner})"
-    # The dim shared by the most monomials is the best single factor;
-    # ties break to the smallest index (deterministic output).
-    counts: Dict[int, int] = {}
-    for mono in sorted(terms):
-        for dim in set(mono):
-            counts[dim] = counts.get(dim, 0) + 1
-    best = min(
-        counts,
-        key=lambda dim: (-counts[dim], dim),
-        default=None,
-    )
-    if best is None or counts[best] < 2:
-        return " + ".join(
-            _render_monomial(m, c, var) for m, c in sorted(terms.items())
-        )
-    inside: Dict[Monomial, int] = {}
-    outside: Dict[Monomial, int] = {}
-    for mono, coeff in sorted(terms.items()):
-        if best in mono:
-            reduced = list(mono)
-            reduced.remove(best)
-            inside[tuple(reduced)] = inside.get(tuple(reduced), 0) + coeff
-        else:
-            outside[mono] = coeff
-    rendered = _render_sum(inside, var)
-    if len(inside) > 1 or rendered.startswith("-"):
-        rendered = f"({rendered})"
-    factored = f"{var(best)}*{rendered}"
-    if not outside:
-        return factored
-    return f"{factored} + {_render_sum(outside, var)}"

@@ -74,6 +74,9 @@ CACHE_STORE_ENV = "REPRO_CACHE_STORE"
 #: Valid values of :data:`CACHE_STORE_ENV`.
 STORE_KINDS = ("json", "sqlite")
 
+#: Study scales: CI-sized samples, or the paper's sample counts.
+SCALES = ("quick", "full")
+
 
 @dataclass(frozen=True, order=True)
 class StudyKey:
@@ -124,6 +127,22 @@ def validated_store(kind: str) -> str:
     if normalized not in STORE_KINDS:
         raise argparse.ArgumentTypeError(
             f"unknown store {kind!r}; known: {'/'.join(STORE_KINDS)}"
+        )
+    return normalized
+
+
+def validated_expression(name: str) -> str:
+    """An argparse type for an expression name: a typo is a usage error
+    that lists the known names and patterns, not a failed study."""
+    from repro.expressions.registry import (
+        expression_name_help,
+        is_known_expression,
+    )
+
+    normalized = name.strip()
+    if not is_known_expression(normalized):
+        raise argparse.ArgumentTypeError(
+            f"unknown expression {name!r}; {expression_name_help()}"
         )
     return normalized
 

@@ -32,7 +32,7 @@ from typing import Dict, Tuple
 
 from repro.ablation.components import get_variant, is_known_variant
 from repro.analysis.confusion import ConfusionMatrix, confusion_from_prediction
-from repro.figures.cache import StudyKey, store_from_env
+from repro.figures.cache import SCALES, StudyKey, store_from_env
 from repro.backends.simulated import SimulatedBackend
 from repro.core.searchspace import NAMED_BOXES, named_box
 from repro.experiments.prediction import Prediction, predict_from_benchmarks
@@ -44,8 +44,6 @@ from repro.expressions.base import Expression
 SEARCH_THRESHOLD = 0.10
 #: Experiment-2/3 threshold (paper §4.2-4.3).
 REGION_THRESHOLD = 0.05
-
-_SCALES = ("quick", "full")
 
 
 @dataclass(frozen=True)
@@ -65,9 +63,9 @@ class FigureConfig:
     variant: str = "default"
 
     def __post_init__(self) -> None:
-        if self.scale not in _SCALES:
+        if self.scale not in SCALES:
             raise ValueError(
-                f"scale must be one of {_SCALES}, got {self.scale!r}"
+                f"scale must be one of {SCALES}, got {self.scale!r}"
             )
         if self.box not in NAMED_BOXES:
             raise ValueError(

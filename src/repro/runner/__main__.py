@@ -32,31 +32,18 @@ import sys
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.searchspace import NAMED_BOXES
-from repro.expressions.registry import (
-    expression_name_help,
-    is_known_expression,
-)
 from repro.figures.cache import (
     CACHE_DIR_ENV,
+    SCALES,
     STORE_KINDS,
     StudyKey,
     StudyStore,
     make_store,
     positive_int,
+    validated_expression,
     validated_store,
 )
 from repro.runner.runner import StudyRunner, study_matrix
-
-_SCALES = ("quick", "full")
-
-
-def _validated_expression(name: str) -> str:
-    name = name.strip()
-    if not is_known_expression(name):
-        raise argparse.ArgumentTypeError(
-            f"unknown expression {name!r}; {expression_name_help()}"
-        )
-    return name
 
 
 def _parse_extra(raw: str) -> StudyKey:
@@ -67,9 +54,9 @@ def _parse_extra(raw: str) -> StudyKey:
         )
     scale, seed, expression = parts[0], parts[1], parts[2]
     box = parts[3] if len(parts) == 4 else "paper_box"
-    if scale not in _SCALES:
+    if scale not in SCALES:
         raise argparse.ArgumentTypeError(
-            f"--extra scale must be one of {'/'.join(_SCALES)}, "
+            f"--extra scale must be one of {'/'.join(SCALES)}, "
             f"got {scale!r}"
         )
     try:
@@ -86,7 +73,7 @@ def _parse_extra(raw: str) -> StudyKey:
     return StudyKey(
         scale=scale,
         seed=seed_value,
-        expression=_validated_expression(expression),
+        expression=validated_expression(expression),
         box=box,
     )
 
@@ -116,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--scale",
         action="append",
-        choices=_SCALES,
+        choices=SCALES,
         help="study scale; repeatable (default: quick)",
     )
     parser.add_argument(
@@ -253,7 +240,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             if not name.strip():
                 continue
             try:
-                expressions.append(_validated_expression(name))
+                expressions.append(validated_expression(name))
             except argparse.ArgumentTypeError as exc:
                 parser.error(f"--expressions: {exc}")
     scales = tuple(args.scale) if args.scale else ("quick",)

@@ -36,7 +36,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
@@ -193,7 +193,6 @@ class StudyRunner:
     cache_dir: Path
     store: str = "json"
     jobs: int = 1
-    extras: Tuple[StudyKey, ...] = field(default_factory=tuple)
     #: In-process attempts per key on the broken-pool salvage path.
     retries: int = 2
 
@@ -206,10 +205,8 @@ class StudyRunner:
         # Fail fast on an unknown backend, before any worker spawns.
         make_store(self.store, self.cache_dir).close()
 
-    def run(self, keys: Optional[Sequence[StudyKey]] = None) -> RunReport:
-        """Run every study of ``keys`` (default: the full matrix)."""
-        if keys is None:
-            keys = study_matrix(extras=self.extras)
+    def run(self, keys: Sequence[StudyKey]) -> RunReport:
+        """Run every study of ``keys`` (see :func:`study_matrix`)."""
         keys = tuple(keys)
         args = [(key, self.store, str(self.cache_dir)) for key in keys]
         start = time.perf_counter()

@@ -36,13 +36,12 @@ from repro.core.discriminants import (
 from repro.core.searchspace import NAMED_BOXES
 from repro.experiments.regions import Regions
 from repro.expressions.base import Algorithm, Expression
-from repro.expressions.codegen import codegen_stats
 from repro.expressions.registry import (
     expression_name_help,
     get_expression,
     is_known_expression,
 )
-from repro.figures.cache import StudyKey, StudyStore
+from repro.figures.cache import SCALES, StudyKey, StudyStore
 from repro.figures.common import FigureConfig, compute_study_results
 from repro.machine.presets import paper_machine
 from repro.profiles.benchmark import PROFILE_AXIS, standard_profiles
@@ -54,8 +53,6 @@ __all__ = ["PROFILE_AXIS", "SelectionEngine", "SelectionError"]
 
 #: Default capacity of the hot-study LRU.
 DEFAULT_LRU_CAPACITY = 8
-
-_SCALES = ("quick", "full")
 
 _MISS = object()
 
@@ -228,8 +225,8 @@ class SelectionEngine:
         lru_capacity: int = DEFAULT_LRU_CAPACITY,
         default_discriminant: str = "hybrid",
     ) -> None:
-        if scale not in _SCALES:
-            raise ValueError(f"scale must be one of {_SCALES}, got {scale!r}")
+        if scale not in SCALES:
+            raise ValueError(f"scale must be one of {SCALES}, got {scale!r}")
         if box not in NAMED_BOXES:
             raise ValueError(
                 f"box must be one of {tuple(sorted(NAMED_BOXES))}, "
@@ -413,6 +410,5 @@ class SelectionEngine:
                 "discriminants": sorted(self.discriminants),
                 "expressions_loaded": sorted(self._expressions),
             },
-            "codegen": codegen_stats(),
             **self.studies.stats(),
         }

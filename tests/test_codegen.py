@@ -1,48 +1,51 @@
-"""Plan codegen equivalence: generated evaluators ≡ the interpreter.
+"""Plan-derived FLOP counts and call steps ≡ the interpreter.
 
-The generated FLOP evaluators and the plan steps are the runtime path;
-the interpreter is the oracle.  For every registered family (plus
-``sum6``, which compiles under the cost-guided pruning pass), they
-must match it **bit for bit** on seeded instance batches, up to the
+Every per-call quantity is computed from ``Plan.steps``; the
+interpreter (``Plan.flops``, ``kernel_calls``, ``batch_kernel_calls``)
+is the oracle.  For every registered family, plus ``sum6`` (compiled
+under the cost-guided pruning pass) and ``chain5``, the slot path
+must match it **exactly** on seeded instance batches, up to the
 exact-arithmetic bound (:func:`max_exact_dim`):
 
-* the batch FLOP evaluator equals the interpreted whole-column
-  polynomial evaluation, the :func:`flop_polynomial` oracle and the
-  exact Python-int ``algorithm.flops`` of every row;
+* :func:`batch_flops` equals ``Plan.flops`` over the instance
+  columns, the :func:`flop_polynomial` oracle and the exact Python-int
+  ``algorithm.flops`` of every row, for the full algorithm list and
+  for subsets, reorderings and repeats of it;
 * each plan step's kernel, ``reads_previous`` and instance columns
   equal ``batch_kernel_calls`` over the interpreted call sequence;
-* two algorithms share one evaluator object exactly when their FLOP
-  polynomials are equal, the identity ``batch_flops`` dedupes by.
+* the slot tables are cached for algorithm tuples only, and a wide
+  batch is counted in bounded row blocks.
 """
 
+import importlib
 import random
+import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
 
-from repro.core.classify import max_exact_dim
+from repro.core.classify import batch_flops, call_slots, max_exact_dim
 from repro.core.symbolic import flop_polynomial
-from repro.expressions.codegen import clear_codegen_caches, codegen_stats
-from repro.expressions.registry import get_expression
+from repro.expressions.registry import get_expression, known_expressions
 from repro.expressions.shapes import SizeExpr, dim_symbols
 from repro.kernels.types import batch_kernel_calls
 
+# The module, not the ``classify`` function ``repro.core`` re-exports.
+classify = importlib.import_module("repro.core.classify")
+
 #: The registered families plus one pruned large family (sum6 runs the
-#: compiler's cost-guided pruning pass, whose tree costs now evaluate
-#: through the symbolic shape layer).
-FAMILIES = (
-    "aatb", "chain4", "gram3", "tri4", "sum3", "addchain3", "solve3",
-    "sum6",
-)
+#: compiler's cost-guided pruning pass) and chain5.
+FAMILIES = tuple(dict.fromkeys(known_expressions() + ("sum6", "chain5")))
 
 
 def _instance_batches(expression, seed=0):
-    """Seeded batches: degenerate (all-1), box-sized and up to the bound.
+    """Seeded batches of 0, 1 and 37 rows, up to the exact bound.
 
-    The last two batches reach :func:`max_exact_dim`, the largest dim
-    at which every plan's FLOP count stays below 2**53: seeded rows in
-    ``[1, bound]`` and the all-bound row.
+    :func:`max_exact_dim` is the largest dim at which every plan's
+    FLOP count stays below 2**53: the one-row batch is the all-bound
+    row, and the 37-row batches hold seeded rows in ``[1, 400]``
+    (with all-1 rows among them) and in ``[1, bound]``.
     """
     n_dims = expression.n_dims
     bound = max_exact_dim(expression.algorithms(), n_dims)
@@ -55,20 +58,22 @@ def _instance_batches(expression, seed=0):
                 for _ in range(count)
             ],
             dtype=np.int64,
-        )
+        ).reshape(count, n_dims)
 
+    small = rows(400, 37)
+    small[::9] = 1
     return [
-        rows(400, 17),
-        np.ones((3, n_dims), dtype=np.int64),
-        np.full((2, n_dims), 1400, dtype=np.int64),
-        rows(bound, 17),
+        rows(bound, 0),
         np.full((1, n_dims), bound, dtype=np.int64),
+        small,
+        rows(bound, 37),
     ]
 
 
 def _interpreted_flops(algorithm, arr):
     columns = tuple(arr[:, i] for i in range(arr.shape[1]))
-    return np.asarray(algorithm.flops(columns), dtype=np.int64)
+    counts = np.asarray(algorithm.flops(columns), dtype=np.int64)
+    return np.broadcast_to(counts, (arr.shape[0],))
 
 
 def _interpreted_batches(algorithm, arr):
@@ -79,23 +84,80 @@ def _interpreted_batches(algorithm, arr):
 @pytest.mark.parametrize("family", FAMILIES)
 def test_codegen_flops_match_interpreter_and_polynomial(family):
     expression = get_expression(family)
-    polys = [
-        flop_polynomial(a, expression.n_dims)
-        for a in expression.algorithms()
-    ]
+    algorithms = expression.algorithms()
+    polys = [flop_polynomial(a, expression.n_dims) for a in algorithms]
     seed = zlib.crc32(family.encode()) % 997
     for arr in _instance_batches(expression, seed=seed):
-        for algorithm, poly in zip(expression.algorithms(), polys):
-            got = algorithm.flops_batch_function()(arr)
-            assert got.dtype == np.int64
-            assert got.tolist() == _interpreted_flops(algorithm, arr).tolist()
-            assert got.tolist() == poly.evaluate_columns(arr).tolist()
+        got = batch_flops(algorithms, arr)
+        assert got.dtype == np.int64
+        assert got.shape == (arr.shape[0], len(algorithms))
+        rows = arr.tolist()
+        for j, (algorithm, poly) in enumerate(zip(algorithms, polys)):
+            column = got[:, j].tolist()
+            assert column == _interpreted_flops(algorithm, arr).tolist()
             # Exact Python ints, row by row: no int64 wraparound.
-            assert got.tolist() == [
-                algorithm.flops(tuple(row)) for row in arr.tolist()
-            ]
-            # The convenience wrapper routes through the same function.
-            assert algorithm.flops_batch(arr).tolist() == got.tolist()
+            assert column == [algorithm.flops(tuple(row)) for row in rows]
+            assert column == [poly.size_hint(row) for row in rows]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_batch_flops_over_subsets_reorderings_and_repeats(family):
+    expression = get_expression(family)
+    algorithms = expression.algorithms()
+    arr = _instance_batches(expression, seed=len(family))[-1]
+    full = batch_flops(algorithms, arr)
+    count = len(algorithms)
+    rng = random.Random(family)
+    picks = [
+        list(range(count))[::-1],
+        list(range(0, count, 2)),
+        [count - 1],
+        [0, count - 1, 0, 0],
+        [rng.randrange(count) for _ in range(2 * count)],
+        [],
+    ]
+    for pick in picks:
+        chosen = [algorithms[j] for j in pick]
+        # A list builds its slots afresh; a tuple's are cached, so the
+        # second call reads the table the first one interned.
+        for form in (chosen, tuple(chosen), tuple(chosen)):
+            got = batch_flops(form, arr)
+            assert got.shape == (arr.shape[0], len(pick))
+            assert got.tolist() == full[:, pick].tolist(), pick
+
+
+def test_fresh_algorithm_lists_add_no_slot_table(monkeypatch):
+    monkeypatch.setattr(classify, "_SLOTS", {})
+    algorithms = get_expression("sum4").algorithms()
+    arr = np.asarray([[300, 40, 900, 120, 640, 75, 1100, 210]])
+    want = batch_flops(algorithms, arr)
+    table = call_slots(algorithms)
+    assert call_slots(algorithms) is table
+    assert list(classify._SLOTS.values()) == [table]
+    for i in range(1000):
+        pick = list(algorithms[i % 7:i % 7 + 5])
+        got = batch_flops(pick, arr)
+        assert got.tolist() == want[:, i % 7:i % 7 + 5].tolist()
+    assert list(classify._SLOTS.values()) == [table]
+
+
+def test_wide_sum4_batch_is_counted_in_row_blocks():
+    """35,000 rows of sum4 beside their 6.7 MB of counts: one
+    (plans, calls, rows) gather would hold 150 x 35,000 int64 (42 MB)
+    and unblocked slots ~20 MB; row blocks of 32,768 stacked rows
+    hold ~2.5 MB."""
+    algorithms = get_expression("sum4").algorithms()
+    arr = np.random.default_rng(4).integers(10, 1400, size=(35000, 8))
+    batch_flops(algorithms, arr[:1])
+    tracemalloc.start()
+    try:
+        got = batch_flops(algorithms, arr)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < got.nbytes + 4 * 2**20
+    for j, algorithm in enumerate(algorithms):
+        assert np.array_equal(got[:, j], _interpreted_flops(algorithm, arr))
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -112,51 +174,6 @@ def test_plan_steps_match_interpreted_calls(family):
                 got = arr[:, step.dims]
                 assert got.shape == want.dims.shape
                 assert np.array_equal(got, want.dims)
-
-
-@pytest.mark.parametrize("family", FAMILIES)
-def test_evaluators_shared_exactly_by_equal_polynomials(family):
-    # ``batch_flops`` reuses one column for every algorithm holding the
-    # same evaluator object: sharing across unequal polynomials would
-    # give an algorithm another's FLOPs, so identity must track
-    # polynomial equality in both directions.
-    expression = get_expression(family)
-    algorithms = expression.algorithms()
-    polys = [flop_polynomial(a, expression.n_dims) for a in algorithms]
-    fns = [a.flops_batch_function() for a in algorithms]
-    for i in range(len(algorithms)):
-        for j in range(i + 1, len(algorithms)):
-            same_poly = polys[i].key() == polys[j].key()
-            assert (fns[i] is fns[j]) == same_poly, (
-                algorithms[i].name, algorithms[j].name
-            )
-
-
-def test_plan_cache_and_flops_sharing_stats():
-    clear_codegen_caches()
-    # A fresh compile: the evaluator cache was just dropped, and the
-    # algorithms resolve their evaluators on first use.
-    algorithms = get_expression("aatb").with_prune(None).algorithms()
-    fns = [a.flops_batch_function() for a in algorithms]
-    stats = codegen_stats()
-    # aatb's five algorithms hold only three distinct FLOP polynomials
-    # (aatb-1/2 share one, aatb-3/4 share another): plans with equal
-    # polynomials share one compiled function *object*.
-    assert len({id(fn) for fn in fns}) == 3
-    assert stats["flops_functions"] == 3
-    assert stats["flops_fns_shared"] == 2
-    assert stats["flops_batches"] == len(algorithms)
-    assert fns[0] is fns[1]
-    assert fns[2] is fns[3]
-    assert fns[0] is not fns[2]
-    # A second lookup returns the same object without another
-    # resolution: the algorithm holds its evaluator.
-    again = [a.flops_batch_function() for a in algorithms]
-    assert all(x is y for x, y in zip(again, fns))
-    after = codegen_stats()
-    assert after["flops_functions"] == 3
-    assert after["flops_fns_shared"] == 2
-    assert after["flops_batches"] == 2 * len(algorithms)
 
 
 def test_plan_signature_distinguishes_schedules():
@@ -178,12 +195,6 @@ def test_size_expr_polynomial_identities():
     assert expr.size_hint((5, 7, 11)) == 3 * 5 * 7 + 3
     assert expr.used_dims() == (0, 1)
     assert (d0 + 0) == d0 and (d0 * 1) == d0
-    # Column evaluation is exact int64.
-    arr = np.asarray([[2, 3, 4], [100, 200, 300]], dtype=np.int64)
-    got = expr.evaluate_columns(arr)
-    assert got.dtype == np.int64
-    assert got.tolist() == [2 * 2 * 3 + 2 * 3 + 3, 3 * 100 * 200 + 3]
-    # Rendered source round-trips through eval over the same columns.
-    source = expr.source(lambda d: f"c{d}")
-    namespace = {f"c{i}": arr[:, i] for i in range(3)}
-    assert eval(source, {"__builtins__": {}}, namespace).tolist() == got.tolist()
+    assert expr == 3 + d1 * d0 * 3 and hash(expr) == hash(3 + 3 * d0 * d1)
+    assert expr.render(("m", "n", "k")) == "3*m*n + 3"
+    assert (d0 * d0 * d2 + d1).render(("m", "n", "k")) == "m^2*k + n"

@@ -109,9 +109,10 @@ def test_aatb_flop_polynomials_match_hand_derivation():
 
 @pytest.mark.parametrize("expression_name", sorted(PAYLOAD_SHA256))
 def test_quick_study_payloads_byte_identical_to_pre_refactor(expression_name):
-    # The generated runtime path must hit the *same* pre-refactor
-    # digest the interpreted implementation recorded: codegen is a
-    # pure perf layer, never a semantic change.
+    # The runtime path must hit the *same* pre-refactor digest the
+    # interpreted implementation recorded: FLOP counts, machine times
+    # and profile predictions all read the plans' call slots, and no
+    # such layer may change a payload byte.
     key = StudyKey("quick", 0, expression_name)
     config = FigureConfig(scale="quick", seed=0)
     text = encode_study(key, *compute_study_results(config, expression_name))
