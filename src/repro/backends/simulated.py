@@ -17,6 +17,8 @@ measurement gives an instance memo rows.  A prediction fills the
 predicted column of rows that have them (the measured column stays
 NaN until a measurement needs it) and returns the rest unstored, so
 the service's stream of distinct one-off predictions grows no memo.
+A prediction batch none of whose rows has memo rows (every request
+the service answers) goes to the machine as it is, with no memo work.
 
 The algorithms of one expression share one instance index (instance
 bytes to row id), so an instance's key is stored once, not once per
@@ -92,6 +94,11 @@ class _Memo:
                 count=len(unseen_keys),
             )
         return ids
+
+    def knows_any(self, keys: Sequence[bytes]) -> bool:
+        """Whether any key has an id."""
+        index = self._ids
+        return bool(index) and any(map(index.__contains__, keys))
 
     def table(self, owner) -> np.ndarray:
         """``owner``'s values, with a row for every id assigned so far.
@@ -172,7 +179,8 @@ class SimulatedBackend(Backend):
         bits they already held.  Only a measurement gives rows ids; it
         fills both columns.  A prediction fills the predicted column
         of rows that have ids and returns the others unstored, so a
-        stream of distinct predictions leaves the memo as it was.
+        stream of distinct predictions leaves the memo as it was; when
+        no row has an id, the machine predicts the batch as it is.
         """
         out = np.empty((arr.shape[0], len(algorithms)))
         by_expression: Dict[str, List[int]] = {}
@@ -184,6 +192,12 @@ class SimulatedBackend(Backend):
             memo = self._algorithm_memos.get(expression)
             if memo is None:
                 memo = self._algorithm_memos[expression] = _Memo(2)
+            if column == _PREDICTED and not memo.knows_any(keys):
+                chosen = [algorithms[j] for j in columns]
+                out[:, columns] = self.machine.predict_plans_batch(
+                    arr, [a.plan.steps for a in chosen], [a.name for a in chosen]
+                ).T
+                continue
             ids = memo.ids(keys, assign=column == _MEASURED)
             # Only predictions leave rows without ids; they hold nothing.
             seen = ids >= 0

@@ -213,6 +213,7 @@ class CallSlots:
     A slot is one distinct ``(kernel, instance columns)`` call, shared
     by every plan step that makes it.  ``kernels``: per kernel, its
     slots and their instance columns as an ``(arity, s)`` array.
+    ``uses``: ``(P, S)``, whether plan ``p`` calls slot ``s``.
     ``calls``: per call index ``k``, the plans with a ``k``-th call
     (None when every plan has one) and those calls' slots.
     """
@@ -240,6 +241,9 @@ class CallSlots:
             )
             for kernel, members in by_kernel.items()
         ]
+        self.uses = np.zeros((len(plans), self.n_slots), dtype=bool)
+        for p, plan in enumerate(plans):
+            self.uses[p, plan] = True
         lengths = [len(plan) for plan in plans]
         self.calls = []
         for k in range(max(lengths, default=0)):
@@ -250,16 +254,21 @@ class CallSlots:
                 np.array([plans[p][k] for p in with_k], dtype=np.intp),
             ))
 
-    def stacked(self, instances: np.ndarray, per_call: int):
+    def stacked(self, instances: np.ndarray, per_call: int, used=None):
         """Each kernel's slots, at most ``per_call`` at a time, with
         their dims over the ``(n, n_dims)`` instances stacked.
 
         Yields ``(kernel, slots, dims)``: ``dims`` is ``(len(slots) * n,
         arity)``, slot ``slots[i]``'s dims in rows ``i * n`` to
-        ``(i + 1) * n``, each column contiguous.
+        ``(i + 1) * n``, each column contiguous.  With ``used``, an
+        ``(S,)`` bool mask, only the slots it marks, and no kernel
+        whose slots it leaves out.
         """
         by_column = instances.T
         for kernel, slots, columns in self.kernels:
+            if used is not None:
+                keep = used[slots]
+                slots, columns = slots[keep], columns[:, keep]
             for first in range(0, len(slots), per_call):
                 group = columns[:, first:first + per_call]
                 dims = by_column[group].reshape(len(group), -1).T
@@ -283,8 +292,8 @@ def call_slots(algorithms: Sequence[Algorithm]) -> CallSlots:
 
     Keyed by the algorithms' ids and identity-checked, as the
     machine's call tables are.  Only a tuple (an expression's
-    ``algorithms()``) is cached, so ad-hoc lists such as the hybrid's
-    shortlists add nothing to the cache.
+    ``algorithms()``) is cached, so ad-hoc lists add nothing to the
+    cache.
     """
     key = tuple(map(id, algorithms))
     table = _SLOTS.get(key)

@@ -103,18 +103,27 @@ class _ProfileMixin:
         :meth:`predicted_time` bit for bit.
         """
         arr = np.asarray(instances_matrix, dtype=np.int64)
+        return self._predicted_totals(call_slots(algorithms), arr).T
+
+    def _predicted_totals(self, table, arr: np.ndarray, plans=None):
+        """``(P, n)`` profile-predicted totals of ``table``'s plans.
+
+        With ``plans``, a ``(P,)`` bool mask, only the slots the marked
+        plans call are interpolated: the marked plans' totals are
+        exact, the others' are partial sums to ignore.
+        """
         n = arr.shape[0]
-        table = call_slots(algorithms)
-        times = np.empty((table.n_slots, n))
+        used = None if plans is None else table.uses[plans].any(axis=0)
+        times = np.zeros((table.n_slots, n))
         per_call = max(1, _STACKED_ROWS // max(n, 1))
-        for kernel, slots, dims in table.stacked(arr, per_call):
+        for kernel, slots, dims in table.stacked(arr, per_call, used):
             profile = self.profiles.get(kernel)
             if profile is None:
                 raise KeyError(f"no profile for kernel {kernel.value}")
             times[slots] = profile.predict_batch(dims).reshape(len(slots), n)
         total = np.zeros((len(table.algorithms), n))
         table.add_calls(times, total)
-        return total.T
+        return total
 
     def predicted_times_batch(
         self, algorithm: Algorithm, instances_matrix: np.ndarray
@@ -195,16 +204,15 @@ class FlopsProfileHybrid(_ProfileMixin, Discriminant):
         cutoff = flops.min(axis=1) * (1.0 + self.margin)
         shortlisted = flops <= cutoff[:, None]
         # Like the scalar path, only shortlisted algorithms are ever
-        # profiled; a column no instance shortlists stays +inf.
-        columns = np.flatnonzero(shortlisted.any(axis=0)).tolist()
-        times = np.full(flops.shape, np.inf)
-        times[:, columns] = self.predicted_times_matrix(
-            [algorithms[j] for j in columns], arr
+        # profiled: out of the algorithms' own slot table, only the
+        # slots some instance's shortlisted plans call.
+        times = self._predicted_totals(
+            call_slots(algorithms), arr, shortlisted.any(axis=0)
         )
         # argmin over +inf-masked times: first (lowest-index) minimum
         # inside the shortlist, matching the scalar tie rule.
         return np.argmin(
-            np.where(shortlisted, times, np.inf), axis=1
+            np.where(shortlisted, times.T, np.inf), axis=1
         ).tolist()
 
 

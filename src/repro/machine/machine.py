@@ -60,11 +60,12 @@ read the walked dim repeats the row above.  Rows are measured in
 blocks of at most ``_PASS_IDS // width`` rows (``width``: the widest
 plan's calls).  Per block, base seconds are computed once per slot
 at its run heads, in one ``kernel_seconds_batch`` per kernel over
-its slots stacked, and interference once per pair at every row.  In
-a block, consecutive plans share one *pass* while its padded
-``(call, row)`` ids fit in :data:`_PASS_IDS`.  A pass is a few array
-operations whatever its call count: per kernel arity one gather of
-its calls' head dims and one
+its slots stacked, and interference once per pair at every row, in
+one ``interference_penalty_batch`` per (producer, consumer) kernel
+pair over its pairs stacked.  In a block, consecutive plans share one
+*pass* while its padded ``(call, row)`` ids fit in :data:`_PASS_IDS`.
+A pass is a few array operations whatever its call count: per kernel
+arity one gather of its calls' head dims and one
 :func:`~repro.machine.noise.fold_columns`, one
 :meth:`MachineModel._median_factors` draw, one gather of the scaled
 medians to the rows through the run indexes, and then, for each k,
@@ -159,7 +160,9 @@ class _CallTable:
     first, stop)``); ``columns``: theirs as ``(S, 3)``, padded with
     repeats, which move no run head.  Per call, plan by plan: ``slot``,
     ``pair`` (into ``pairs``; -1 when it reads no previous output),
-    ``index``, ``plan`` and ``heads``.
+    ``index``, ``plan`` and ``heads``.  ``pair_groups``: the pairs by
+    (producer kernel, consumer kernel), as ``(producer, consumer,
+    pairs, producer columns, consumer slots, consumer columns)``.
     """
 
     def __init__(self, machine: "MachineModel", plans, contexts) -> None:
@@ -196,6 +199,21 @@ class _CallTable:
             for c, (index, step) in enumerate(zip(self.index.tolist(), steps))
         ], dtype=np.intp)
         self.pairs = list(pairs)
+        by_kernels: dict = {}
+        for q, (producer, consumer) in enumerate(self.pairs):
+            kernels = (self.slots[producer][0], self.slots[consumer][0])
+            by_kernels.setdefault(kernels, []).append(q)
+        self.pair_groups = []
+        for (producer, consumer), group in by_kernels.items():
+            ends = [self.pairs[q] for q in group]
+            self.pair_groups.append((
+                producer,
+                consumer,
+                np.array(group, dtype=np.intp),
+                np.array([self.slots[p][1] for p, _ in ends], dtype=np.intp),
+                np.array([c for _, c in ends], dtype=np.intp),
+                np.array([self.slots[c][1] for _, c in ends], dtype=np.intp),
+            ))
         bases = [machine._stream_base(context) for context in contexts]
         self.heads = fold(
             fold(np.array(bases, dtype=np.uint64)[self.plan], self.index),
@@ -250,7 +268,10 @@ class _Block:
     stacking changes no bit).  ``runs``: each slot's run of each row,
     None when every row heads one.  ``interfered``: per pair, the
     consumer's base seconds with the producer's interference at every
-    row (None when no interference is measured).
+    row (None when no interference is measured), one
+    ``interference_penalty_batch`` per kernel pair over its pairs
+    stacked, in calls of at most :data:`_PASS_IDS` rows (rowwise, so
+    stacking changes no bit).
     """
 
     __slots__ = ("n", "dims", "bases", "offsets", "runs", "interfered")
@@ -283,17 +304,33 @@ class _Block:
         self.interfered = None
         if interfere and table.pairs:
             self.interfered = np.empty((len(table.pairs), n))
-            for q, (producer, consumer) in enumerate(table.pairs):
-                base = self.bases[offsets[consumer]:offsets[consumer + 1]]
-                if self.runs is not None:
-                    base = base[self.runs[consumer]]
-                producer_kernel, producer_columns = table.slots[producer]
-                consumer_kernel, consumer_columns = table.slots[consumer]
-                penalty = machine.interference_penalty_batch(
-                    producer_kernel, rows[:, producer_columns],
-                    consumer_kernel, rows[:, consumer_columns],
-                )
-                np.multiply(base, 1.0 + penalty, out=self.interfered[q])
+            by_column = rows.T
+            per_call = max(1, _PASS_IDS // n)
+            for (
+                producer, consumer, pairs,
+                producer_columns, consumers, consumer_columns,
+            ) in table.pair_groups:
+                for first in range(0, len(pairs), per_call):
+                    chunk = slice(first, first + per_call)
+                    at = offsets[consumers[chunk], None] + (
+                        np.arange(n) if self.runs is None
+                        else self.runs[consumers[chunk]]
+                    )
+                    penalty = machine.interference_penalty_batch(
+                        producer,
+                        _stacked_dims(by_column, producer_columns[chunk]),
+                        consumer,
+                        _stacked_dims(by_column, consumer_columns[chunk]),
+                    )
+                    self.interfered[pairs[chunk]] = self.bases[at] * (
+                        1.0 + penalty.reshape(-1, n)
+                    )
+
+
+def _stacked_dims(by_column: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """``(len(columns) * n, arity)`` dims of calls reading ``(calls,
+    arity)`` instance ``columns``, call by call, from ``(n_dims, n)``."""
+    return by_column[columns].transpose(0, 2, 1).reshape(-1, columns.shape[1])
 
 
 class MachineModel:

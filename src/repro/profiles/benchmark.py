@@ -11,6 +11,22 @@ whole ``(n, arity)`` dim matrices with array arithmetic, and the
 scalar :meth:`Profile.predict` *is* a one-row batch — so scalar and
 batched predictions are bit-for-bit identical by construction (the
 repo-wide batching contract, see ``tests/test_batch_equivalence.py``).
+
+The blend is table-driven.  ``__post_init__`` builds each axis's
+tables once: its clamp bounds, its inner grid points (one
+``searchsorted`` over them gives a row's cell directly), and each
+cell's log low end and log width.  A batch then goes in blocks of
+:data:`_BLOCK_ROWS` rows, so wide batches keep their temporaries
+cache-sized, and each block clamps and logs its dims as one ``(arity,
+n)`` array and blends all 2^arity cell corners at once.  The corner
+weights are one ``(2^arity, n)`` array in corner-mask order (bit ``i``
+of a corner's index picks axis ``i``'s upper end), built axis by axis:
+``w0 * w1`` first, then ``* w2``, the order in which the per-corner
+loop this replaced multiplied them.  A corner's grid index is its
+offset plus the row's cell base.  The weighted log times are added
+into zeros one corner after another, in corner order, and then
+exponentiated, as that loop did, so every bit is the same
+(``tests/test_profile_blend.py`` keeps the loop as the oracle).
 """
 
 from __future__ import annotations
@@ -22,6 +38,10 @@ import numpy as np
 
 from repro.backends.base import Backend
 from repro.kernels.types import KERNEL_ARITY, KernelName
+
+#: Rows one block of :meth:`Profile.predict_batch` blends at once: the
+#: ``(2^arity, rows)`` corner arrays of a 3-axis block stay at 256 KB.
+_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -38,21 +58,38 @@ class Profile:
             )
         if any(len(axis) < 2 for axis in self.axes):
             raise ValueError("each axis needs at least two grid points")
-        flat_log = np.log(np.ascontiguousarray(self.times)).reshape(-1)
-        object.__setattr__(self, "_flat_log_times", flat_log)
         # Row-major strides (in elements) into the flattened grid, and
-        # per-axis float views + log views for the interpolation.
-        strides = np.ones(len(self.axes), dtype=np.int64)
-        for i in range(len(self.axes) - 2, -1, -1):
+        # each corner's offset from its cell's base index.
+        n_axes = len(self.axes)
+        strides = np.ones(n_axes, dtype=np.intp)
+        for i in range(n_axes - 2, -1, -1):
             strides[i] = strides[i + 1] * len(self.axes[i + 1])
-        object.__setattr__(self, "_strides", strides)
-        axes_f = tuple(
-            np.asarray(axis, dtype=np.float64) for axis in self.axes
-        )
-        object.__setattr__(self, "_axes_f", axes_f)
-        object.__setattr__(
-            self, "_log_axes", tuple(np.log(a) for a in axes_f)
-        )
+        corners = np.arange(1 << n_axes)[:, None] >> np.arange(n_axes) & 1
+        # Per axis: the clamp bounds (as columns), the inner grid points
+        # (``searchsorted`` over them is the cell), and per cell its log
+        # low end and log width, concatenated over the axes, with each
+        # axis's first cell.
+        axes_f = [np.asarray(axis, dtype=np.float64) for axis in self.axes]
+        log_axes = [np.log(axis) for axis in axes_f]
+        tables = {
+            "_flat_log_times": np.log(
+                np.ascontiguousarray(self.times)
+            ).reshape(-1),
+            "_strides": strides,
+            "_corner_offsets": (corners @ strides)[:, None],
+            "_low": np.array([[axis[0]] for axis in axes_f]),
+            "_high": np.array([[axis[-1]] for axis in axes_f]),
+            "_inner": [axis[1:-1] for axis in axes_f],
+            "_cell_first": np.cumsum(
+                [0] + [len(axis) - 1 for axis in axes_f[:-1]]
+            )[:, None],
+            "_cell_log_low": np.concatenate([a[:-1] for a in log_axes]),
+            "_cell_log_width": np.concatenate(
+                [a[1:] - a[:-1] for a in log_axes]
+            ),
+        }
+        for name, table in tables.items():
+            object.__setattr__(self, name, table)
 
     @property
     def n_points(self) -> int:
@@ -65,52 +102,48 @@ class Profile:
     def predict_batch(self, dims_matrix: np.ndarray) -> np.ndarray:
         """Interpolated times for ``(n, arity)`` calls at once.
 
-        Vectorized log-log multilinear interpolation: per axis, the
-        bracketing grid cell and log-space weight for every row; then
-        the blend over the 2^arity cell corners as array arithmetic.
+        Vectorized log-log multilinear interpolation over the 2^arity
+        cell corners, in row blocks (see the module docstring).
         Values outside the grid are clamped, exactly like the scalar
         path (which is this method on a one-row matrix).
         """
-        dims = np.asarray(dims_matrix, dtype=np.float64)
+        dims = np.asarray(dims_matrix)
         if dims.ndim != 2 or dims.shape[1] != len(self.axes):
             raise ValueError(
                 f"{self.kernel.value} takes (n, {len(self.axes)}) dims, "
                 f"got shape {dims.shape!r}"
             )
-        n = dims.shape[0]
-        n_axes = len(self.axes)
-        lows = np.empty((n, n_axes), dtype=np.int64)
-        weights = np.empty((n, n_axes), dtype=np.float64)
-        for axis_i, (axis_f, log_axis) in enumerate(
-            zip(self._axes_f, self._log_axes)
-        ):
-            v = np.clip(dims[:, axis_i], axis_f[0], axis_f[-1])
-            hi = np.clip(
-                np.searchsorted(axis_f, v, side="left"), 1, len(axis_f) - 1
-            )
-            lo = hi - 1
-            lows[:, axis_i] = lo
-            weights[:, axis_i] = (np.log(v) - log_axis[lo]) / (
-                log_axis[hi] - log_axis[lo]
-            )
-        # Multilinear blend over the 2^n cell corners, accumulated in
-        # the same corner order (and per-axis factor order) as the
-        # scalar loop used to, so results are reproducible bit-for-bit.
-        total = np.zeros(n, dtype=np.float64)
-        flat_log = self._flat_log_times
-        strides = self._strides
-        for mask in range(1 << n_axes):
-            weight = np.ones(n, dtype=np.float64)
-            flat_index = np.zeros(n, dtype=np.int64)
-            for axis_i in range(n_axes):
-                if mask >> axis_i & 1:
-                    weight = weight * weights[:, axis_i]
-                    flat_index += (lows[:, axis_i] + 1) * strides[axis_i]
-                else:
-                    weight = weight * (1.0 - weights[:, axis_i])
-                    flat_index += lows[:, axis_i] * strides[axis_i]
-            total += weight * flat_log[flat_index]
-        return np.exp(total)
+        out = np.empty(dims.shape[0])
+        for start in range(0, dims.shape[0], _BLOCK_ROWS):
+            stop = start + _BLOCK_ROWS
+            np.exp(self._log_blend(dims[start:stop]), out=out[start:stop])
+        return out
+
+    def _log_blend(self, dims: np.ndarray) -> np.ndarray:
+        """The interpolated log times of one block of ``(n, arity)`` dims."""
+        n_axes, n = dims.shape[1], dims.shape[0]
+        values = np.array(dims.T, dtype=np.float64, order="C")
+        np.clip(values, self._low, self._high, out=values)
+        cells = np.empty((n_axes, n), dtype=np.intp)
+        for axis_i, inner in enumerate(self._inner):
+            cells[axis_i] = inner.searchsorted(values[axis_i])
+        base = self._strides @ cells
+        cells += self._cell_first
+        # factors[i]: axis i's (1 - w, w), the lower and upper end's
+        # weight of each row.
+        factors = np.empty((n_axes, 2, n))
+        upper = factors[:, 1]
+        np.subtract(np.log(values), self._cell_log_low[cells], out=upper)
+        np.divide(upper, self._cell_log_width[cells], out=upper)
+        np.subtract(1.0, upper, out=factors[:, 0])
+        weights = factors[0]
+        for axis_i in range(1, n_axes):
+            weights = (factors[axis_i][:, None] * weights).reshape(-1, n)
+        weights *= self._flat_log_times[self._corner_offsets + base]
+        total = np.zeros(n)
+        for term in weights:
+            total += term
+        return total
 
 
 def build_profile(

@@ -61,12 +61,23 @@ _STATUS_TEXT = {
 #: Largest accepted request body.
 MAX_BODY_BYTES = 1 << 20
 
-#: Largest accepted request line / header line.
+#: Largest accepted request line / header line, line ending included.
 _MAX_LINE_BYTES = 16 << 10
+
+#: Most characters of a request line, path or header value that an
+#: error answer quotes.
+_MAX_ECHO_CHARS = 64
 
 
 class _BadRequest(Exception):
     """Unparseable HTTP; answered once, then the connection closes."""
+
+
+def _echo(text) -> str:
+    """The repr of ``text``'s first :data:`_MAX_ECHO_CHARS` characters,
+    with ``...`` when there are more."""
+    more = "..." if len(text) > _MAX_ECHO_CHARS else ""
+    return f"{text[:_MAX_ECHO_CHARS]!r}{more}"
 
 
 class SelectionService:
@@ -238,9 +249,11 @@ class SelectionService:
             raise _BadRequest("request line too long") from None
         if not line:
             return None
+        if len(line) > _MAX_LINE_BYTES:
+            raise _BadRequest("request line too long")
         parts = line.decode("latin-1").strip().split()
         if len(parts) != 3 or not parts[2].startswith("HTTP/"):
-            raise _BadRequest(f"malformed request line: {line!r}")
+            raise _BadRequest(f"malformed request line: {_echo(line)}")
         method, target, version = parts
         headers = {}
         while True:
@@ -261,7 +274,7 @@ class SelectionService:
             length = int(raw_length)
         except ValueError:
             raise _BadRequest(
-                f"bad Content-Length: {raw_length!r}"
+                f"bad Content-Length: {_echo(raw_length)}"
             ) from None
         if length < 0 or length > MAX_BODY_BYTES:
             raise _BadRequest(f"body too large: {length} bytes")
@@ -382,7 +395,7 @@ class SelectionService:
                 self.request_counts["health"] += 1
                 return 200, {"ok": True}
             self.request_counts["errors"] += 1
-            return 404, {"error": f"unknown path {path!r}"}
+            return 404, {"error": f"unknown path {_echo(path)}"}
         except SelectionError as exc:
             self.request_counts["errors"] += 1
             return 400, {"error": str(exc)}

@@ -15,6 +15,7 @@ import pytest
 from repro.backends.base import Backend
 from repro.backends.simulated import SimulatedBackend
 from repro.core.classify import (
+    batch_flops,
     classify,
     classify_batch,
     evaluate_instance,
@@ -657,6 +658,42 @@ def test_missing_profile_raises_the_same_key_error(standard, aatb):
         discriminant.select(algorithms, (100, 200, 300))
     with pytest.raises(KeyError, match="no profile for kernel symm"):
         discriminant.select_batch(algorithms, [(100, 200, 300)])
+
+
+@pytest.mark.parametrize("margin", (0.0, 0.5))
+def test_hybrid_needs_no_profile_for_never_shortlisted_plans(
+    margin, standard, aatb
+):
+    """A kernel only never-shortlisted plans call needs no profile.
+
+    With d2 small against d0, aatb-5's 4·d0·d1·d2 FLOPs undercut every
+    plan that calls SYRK or SYMM by far more than the margin, so only
+    GEMM is ever interpolated, in one row or in a batch.
+    """
+    from repro.core.discriminants import FlopsProfileHybrid
+
+    algorithms = aatb.algorithms()
+    rng = np.random.default_rng(11)
+    instances = np.stack([
+        rng.integers(800, 1400, 64),
+        rng.integers(300, 1400, 64),
+        rng.integers(10, 40, 64),
+    ], axis=1).tolist()
+    flops = batch_flops(algorithms, np.asarray(instances))
+    shortlisted = flops <= (flops.min(axis=1) * (1.0 + margin))[:, None]
+    calls_others = [
+        any(s.kernel is not KernelName.GEMM for s in a.plan.steps)
+        for a in algorithms
+    ]
+    assert not shortlisted[:, calls_others].any()
+    gemm_only = {KernelName.GEMM: standard[1][KernelName.GEMM]}
+    hybrid = FlopsProfileHybrid(gemm_only, margin=margin)
+    scalar = [hybrid.select(algorithms, inst) for inst in instances]
+    assert hybrid.select_batch(algorithms, instances) == scalar
+    assert [hybrid.select_batch(algorithms, [inst])[0]
+            for inst in instances] == scalar
+    full = FlopsProfileHybrid(standard[1], margin=margin)
+    assert full.select_batch(algorithms, instances) == scalar
 
 
 def test_one_row_sum4_hybrid_interpolates_once(standard, monkeypatch):

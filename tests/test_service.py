@@ -7,6 +7,7 @@ cold, corrupt, or unreachable.
 """
 
 import asyncio
+import importlib
 import json
 import random
 import tracemalloc
@@ -167,8 +168,51 @@ def test_distinct_benchmark_sum_requests_keep_memory_flat(engine):
 def test_distinct_flops_requests_keep_memory_flat(engine, discriminant):
     """FLOP counts and shortlist predictions cache no per-request state:
     the served tuple's call slots are interned once, and each hybrid
-    shortlist's slots are built per request and dropped."""
+    shortlist is profiled out of them."""
     assert _distinct_sum4_requests_grow(engine, discriminant) < 0.25 * 2**20
+
+
+def test_hybrid_requests_keep_one_slot_table_per_served_tuple(
+    engine, monkeypatch
+):
+    """1,000 one-row hybrid requests over three expressions, their
+    shortlists varying, intern each served tuple's slots once and
+    build no other slot table."""
+    # The module, not the ``classify`` function ``repro.core`` re-exports.
+    classify = importlib.import_module("repro.core.classify")
+    monkeypatch.setattr(classify, "_SLOTS", {})
+    built = []
+
+    class Counted(classify.CallSlots):
+        def __init__(self, algorithms):
+            built.append(len(algorithms))
+            super().__init__(algorithms)
+
+    monkeypatch.setattr(classify, "CallSlots", Counted)
+    served = ("aatb", "chain4", "sum4")
+    cutoff = 1.0 + engine.discriminants["hybrid"].margin
+    rng = random.Random(8)
+    shortlists = {name: set() for name in served}
+    for i in range(1000):
+        name = served[i % len(served)]
+        n_dims = engine.expression_for(name).n_dims
+        dims = [rng.randrange(10, 1400) for _ in range(n_dims)]
+        engine.select_many(name, [dims], discriminant="hybrid", annotate=False)
+        flops = classify.batch_flops(
+            engine.algorithms_for(name), np.asarray([dims])
+        )[0]
+        shortlists[name].add(tuple(flops <= flops.min() * cutoff))
+    assert all(len(kinds) > 1 for kinds in shortlists.values())
+    assert sorted(built) == sorted(
+        len(engine.algorithms_for(name)) for name in served
+    )
+    tables = classify._SLOTS
+    assert sorted(tables) == sorted(
+        tuple(map(id, engine.algorithms_for(name))) for name in served
+    )
+    for name in served:
+        table = tables[tuple(map(id, engine.algorithms_for(name)))]
+        assert table.algorithms is engine.algorithms_for(name)
 
 
 @pytest.mark.parametrize(
@@ -778,6 +822,77 @@ def test_http_malformed_request_line_is_a_400(engine):
 
     raw = asyncio.run(run())
     assert raw.startswith(b"HTTP/1.1 400 ")
+
+
+def _raw_exchange(engine, data: bytes):
+    """Send raw bytes on one connection, read until the server closes
+    it, and return the status and JSON body."""
+
+    async def run():
+        service = SelectionService(engine, port=0)
+        await service.start()
+        try:
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", service.port
+            )
+            writer.write(data)
+            await writer.drain()
+            raw = await asyncio.wait_for(reader.read(), timeout=10)
+            writer.close()
+        finally:
+            await service.stop()
+        return raw
+
+    head, _, body = asyncio.run(run()).partition(b"\r\n\r\n")
+    assert b"Connection: close" in head
+    return int(head.split()[1]), json.loads(body)
+
+
+def _request_line(length: int) -> bytes:
+    """A GET request line of ``length`` bytes, CRLF included."""
+    frame = b"GET / HTTP/1.1\r\n"
+    return frame[:5] + b"a" * (length - len(frame)) + frame[5:]
+
+
+def test_http_request_line_longer_than_the_limit_is_a_400(engine):
+    from repro.service.http import _MAX_LINE_BYTES
+
+    line = _request_line(_MAX_LINE_BYTES + 1)
+    assert len(line) == 16 * 1024 + 1
+    status, body = _raw_exchange(engine, line)
+    assert (status, body) == (400, {"error": "request line too long"})
+    # At the limit the line is read, and the path is merely unknown.
+    status, body = _raw_exchange(
+        engine,
+        _request_line(_MAX_LINE_BYTES) + b"Connection: close\r\n\r\n",
+    )
+    assert status == 404
+    assert body["error"].startswith("unknown path '/aaaa")
+    assert len(body["error"]) < 120
+
+
+def test_http_header_line_longer_than_the_limit_is_a_400(engine):
+    from repro.service.http import _MAX_LINE_BYTES
+
+    name = b"X-Padding: "
+    header = name + b"b" * (_MAX_LINE_BYTES + 1 - len(name) - 2) + b"\r\n"
+    assert len(header) == 16 * 1024 + 1
+    status, body = _raw_exchange(engine, b"GET /healthz HTTP/1.1\r\n" + header)
+    assert (status, body) == (400, {"error": "header line too long"})
+    status, body = _raw_exchange(
+        engine,
+        b"GET /healthz HTTP/1.1\r\n" + header[:-3] + b"\r\n"
+        b"Connection: close\r\n\r\n",
+    )
+    assert (status, body) == (200, {"ok": True})
+
+
+def test_http_malformed_request_line_is_echoed_cut_short(engine):
+    status, body = _raw_exchange(engine, b"GARBAGE" * 1000 + b"\r\n\r\n")
+    assert status == 400
+    assert body["error"].startswith("malformed request line: b'GARBAGEGAR")
+    assert body["error"].endswith("...")
+    assert len(body["error"]) < 120
 
 
 # ----------------------------------------------------------------------

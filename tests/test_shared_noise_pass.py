@@ -426,6 +426,87 @@ def test_wide_plan_memory_is_bounded_by_row_blocks(shape, plans):
     assert peak < outputs + 32 * 8 * machine_module._PASS_IDS
 
 
+def _reference_interfered(machine, table, block, rows):
+    """The per-pair loop: one penalty call and one multiply per pair."""
+    out = np.empty((len(table.pairs), rows.shape[0]))
+    offsets = block.offsets
+    for q, (producer, consumer) in enumerate(table.pairs):
+        base = block.bases[offsets[consumer]:offsets[consumer + 1]]
+        if block.runs is not None:
+            base = base[block.runs[consumer]]
+        producer_kernel, producer_columns = table.slots[producer]
+        consumer_kernel, consumer_columns = table.slots[consumer]
+        penalty = machine.interference_penalty_batch(
+            producer_kernel, rows[:, producer_columns],
+            consumer_kernel, rows[:, consumer_columns],
+        )
+        np.multiply(base, 1.0 + penalty, out=out[q])
+    return out
+
+
+@pytest.mark.parametrize("family", ("sum4", "aatb", "gram3"))
+@pytest.mark.parametrize("shape", ("distinct", "rays"))
+@pytest.mark.parametrize("bound", (None, 60))
+def test_block_interference_per_kernel_pair_matches_per_pair_loop(
+    family, shape, bound, monkeypatch
+):
+    """One penalty call per (producer, consumer) kernel pair, whose
+    pairs are stacked at most ``_PASS_IDS`` rows a call, gives the
+    per-pair loop's bits, with run compression and without."""
+    expression = get_expression(family)
+    algorithms = expression.algorithms()
+    if shape == "distinct":
+        # Every column strictly increasing: every row heads every run.
+        rng = np.random.default_rng(3)
+        arr = np.sort(rng.integers(5, 1200, size=(30, expression.n_dims)),
+                      axis=0) + np.arange(30)[:, None]
+    else:
+        arr = _rays(expression.n_dims, 3, 10, seed=3)
+    if bound is not None:
+        monkeypatch.setattr(machine_module, "_PASS_IDS", bound)
+    machine = paper_machine(seed=2)
+    table = machine_module._CallTable(
+        machine,
+        [a.plan.steps for a in algorithms],
+        [a.name for a in algorithms],
+    )
+    calls = []
+    original = machine.interference_penalty_batch
+
+    def counted(producer, producer_dims, consumer, consumer_dims):
+        calls.append((producer, consumer, len(producer_dims)))
+        return original(producer, producer_dims, consumer, consumer_dims)
+
+    monkeypatch.setattr(machine, "interference_penalty_batch", counted)
+    block = machine_module._Block(machine, table, arr, True)
+    assert (block.runs is None) == (shape == "distinct")
+    got, kernel_pairs = block.interfered, len(table.pair_groups)
+    assert len({(p, c) for p, c, _ in calls}) == kernel_pairs
+    if bound is None:
+        assert len(calls) == kernel_pairs
+    assert max(rows for _, _, rows in calls) <= max(
+        len(arr), bound or machine_module._PASS_IDS
+    )
+    monkeypatch.setattr(machine, "interference_penalty_batch", original)
+    want = _reference_interfered(machine, table, block, arr)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_sum4_pairs_share_one_kernel_pair():
+    """sum4's 18 (producer, consumer) slot pairs are all GEMM -> GEMM."""
+    algorithms = get_expression("sum4").algorithms()
+    machine = paper_machine(seed=0)
+    table = machine_module._CallTable(
+        machine,
+        [a.plan.steps for a in algorithms],
+        [a.name for a in algorithms],
+    )
+    assert len(table.pairs) == 18
+    assert [group[:2] for group in table.pair_groups] == [
+        (KernelName.GEMM, KernelName.GEMM)
+    ]
+
+
 def _run_batches(n_dims: int, seed: int):
     """Batches whose rows repeat in some calls' columns, 48 rows at most."""
     rng = np.random.default_rng(seed)
@@ -808,6 +889,47 @@ def test_scalar_calls_interleaved_with_batches_match_fresh_backends():
         else:
             got = backend.predict_times_matrix(algorithms, chosen)
             assert np.array_equal(got, want_predicted[rows])
+
+
+def _reference_predictions(machine, algorithms, arr):
+    """``(n, A)`` per-call median predictions of the interpreter's calls."""
+    return np.stack([
+        reference_totals(machine, _interpreted_calls(a, arr), a.name)[1]
+        for a in algorithms
+    ], axis=1)
+
+
+@pytest.mark.parametrize("family", ("aatb", "chain4", "sum4"))
+def test_unseen_predictions_go_straight_to_the_machine(family, monkeypatch):
+    """Rows without memo rows are predicted as the batch holds them:
+    duplicates and all, with no id assigned; a batch mixing measured
+    and unseen rows keeps the memo path, and assigns no id either."""
+    expression = get_expression(family)
+    algorithms = expression.algorithms()
+    instances = _instances(expression.n_dims, 6, seed=9)
+    doubled = np.concatenate([instances, instances[::-1], instances[:3]])
+    backend = SimulatedBackend(paper_machine(seed=6))
+    want = _reference_predictions(backend.machine, algorithms, doubled)
+    predict = _Counting(monkeypatch, backend.machine, PREDICT)
+    got = backend.predict_times_matrix(algorithms, doubled)
+    assert predict.rows == [len(doubled)]
+    assert predict.plans == [len(algorithms)]
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    memo = backend._algorithm_memos[expression.name]
+    empty = np.empty((0, expression.n_dims), dtype=np.int64)
+    assert backend.predict_times_matrix(algorithms, empty).shape == (
+        0, len(algorithms)
+    )
+    assert backend.predict_times(algorithms[0], empty).shape == (0,)
+    assert len(memo._ids) == 0 and not memo._tables
+    # Measure four rows, then predict them mixed with unseen ones.
+    backend.time_algorithms_matrix(algorithms, instances[:4])
+    assert len(memo._ids) == 4
+    mixed = np.concatenate([instances[2:], instances[:4], instances[5:]])
+    got = backend.predict_times_matrix(algorithms, mixed)
+    want = _reference_predictions(backend.machine, algorithms, mixed)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert len(memo._ids) == 4
 
 
 def test_duplicate_instances_are_computed_once(monkeypatch):
