@@ -31,6 +31,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from repro.ablation.components import (
     DETECTORS,
     Component,
@@ -38,7 +40,7 @@ from repro.ablation.components import (
     get_component,
     get_variant,
 )
-from repro.analysis.confusion import ConfusionMatrix
+from repro.analysis.confusion import ConfusionMatrix, confusion_from_flags
 from repro.backends.simulated import SimulatedBackend
 from repro.core.discriminants import (
     BenchmarkDiscriminant,
@@ -260,33 +262,16 @@ class _DetectionContext:
         cells = regions.cells
         if not cells:
             return ConfusionMatrix(0, 0, 0, 0)
-        expression = self.expression(expression_name)
-        algorithms = expression.algorithms()
-        instances = [cell.instance for cell in cells]
-        base_picks = MinFlopsDiscriminant().select_batch(algorithms, instances)
-        flagged = [False] * len(cells)
-        for name in enabled:
-            picks = self.detector(name).select_batch(algorithms, instances)
-            flagged = [
-                flag or pick != base
-                for flag, pick, base in zip(flagged, picks, base_picks)
-            ]
-        tp = fp = fn = tn = 0
-        for cell, predicted in zip(cells, flagged):
-            if cell.is_anomaly and predicted:
-                tp += 1
-            elif cell.is_anomaly:
-                fn += 1
-            elif predicted:
-                fp += 1
-            else:
-                tn += 1
-        return ConfusionMatrix(
-            true_positive=tp,
-            false_positive=fp,
-            false_negative=fn,
-            true_negative=tn,
+        algorithms = self.expression(expression_name).algorithms()
+        base_picks = np.array(
+            MinFlopsDiscriminant().select_batch(algorithms, cells.instances)
         )
+        flagged = np.zeros(len(cells), dtype=np.bool_)
+        for name in enabled:
+            detector = self.detector(name)
+            picks = detector.select_batch(algorithms, cells.instances)
+            flagged |= np.array(picks) != base_picks
+        return confusion_from_flags(cells.is_anomaly, flagged)
 
 
 def metrics_from_study(

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.experiments.prediction import Prediction
 
 
@@ -80,20 +82,21 @@ class ConfusionMatrix:
         return "\n".join(lines)
 
 
-def confusion_from_prediction(prediction: Prediction) -> ConfusionMatrix:
-    tp = fp = fn = tn = 0
-    for record in prediction.records:
-        if record.actual_anomaly and record.predicted_anomaly:
-            tp += 1
-        elif record.actual_anomaly:
-            fn += 1
-        elif record.predicted_anomaly:
-            fp += 1
-        else:
-            tn += 1
+def confusion_from_flags(
+    actual: np.ndarray, predicted: np.ndarray
+) -> ConfusionMatrix:
+    """Count the four outcomes of ``(n,)`` bool actual and predicted
+    anomaly flags."""
     return ConfusionMatrix(
-        true_positive=tp,
-        false_positive=fp,
-        false_negative=fn,
-        true_negative=tn,
+        true_positive=int(np.count_nonzero(actual & predicted)),
+        false_positive=int(np.count_nonzero(~actual & predicted)),
+        false_negative=int(np.count_nonzero(actual & ~predicted)),
+        true_negative=int(np.count_nonzero(~(actual | predicted))),
+    )
+
+
+def confusion_from_prediction(prediction: Prediction) -> ConfusionMatrix:
+    records = prediction.records
+    return confusion_from_flags(
+        records.actual_anomaly, records.predicted_anomaly
     )

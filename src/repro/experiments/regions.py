@@ -25,12 +25,18 @@ origin's verdict is recorded exactly once per region, and cells are
 deduplicated by instance: overlapping walks (rays from nearby origins,
 or a repeated origin) contribute one cell per distinct instance, the
 first time it is visited.
+
+The cells are held as read-only columns (:class:`RegionCells`: the
+instances, time scores and anomaly flags), built once when the
+traversal ends; ``cells[i]`` is one :class:`RegionCell`, built only
+when indexed.  Experiment 3, the confusion counts and the study store
+read the columns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, fields
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -56,6 +62,79 @@ class RegionCell:
     instance: Tuple[int, ...]
     time_score: float
     is_anomaly: bool
+
+
+class Columns:
+    """Rows of ``ROW`` held as read-only NumPy columns.
+
+    A subclass is a frozen dataclass with one field per field of
+    ``ROW``, in the same order, and the columns' dtypes in ``DTYPES``.
+    The first column, ``instances``, is ``(n, n_dims)``; every other
+    column is ``(n,)``.  Construction checks the dtypes and shapes and
+    makes every column read-only.  ``self[i]`` builds row ``i`` as a
+    ``ROW``; ``==`` holds when every column has the same shape and
+    values (the dtypes are fixed).
+    """
+
+    ROW: type
+    DTYPES: Tuple[type, ...]
+
+    def columns(self) -> Tuple[np.ndarray, ...]:
+        """The columns, in the order of ``ROW``'s fields."""
+        return tuple(getattr(self, field.name) for field in fields(self))
+
+    def __post_init__(self) -> None:
+        n = len(self.instances)
+        for index, (column, dtype) in enumerate(
+            zip(self.columns(), self.DTYPES)
+        ):
+            if column.dtype != dtype or column.shape[:1] != (n,) or (
+                column.ndim != (2 if index == 0 else 1)
+            ):
+                raise ValueError(
+                    f"column {index} of {type(self).__name__} is "
+                    f"{column.dtype} {column.shape}"
+                )
+            column.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.instances)
+
+    def __getitem__(self, i: int):
+        instance, *values = (column[i].tolist() for column in self.columns())
+        return self.ROW(tuple(instance), *values)
+
+    def __iter__(self) -> Iterator:
+        return map(self.__getitem__, range(len(self)))
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(map(np.array_equal, self.columns(), other.columns()))
+
+    @classmethod
+    def from_rows(cls, rows: Iterable, n_dims: int):
+        """Columns holding ``rows``, whose instances are ``n_dims`` wide."""
+        rows = list(rows)
+        instances, *values = (
+            np.array([getattr(row, field.name) for row in rows], dtype=dtype)
+            for field, dtype in zip(fields(cls.ROW), cls.DTYPES)
+        )
+        return cls(instances.reshape(-1, n_dims), *values)
+
+
+@dataclass(frozen=True, eq=False)
+class RegionCells(Columns):
+    """The cells of a traversal as columns: ``instances`` ``(n, n_dims)``
+    int64, ``time_scores`` ``(n,)`` float64 and ``is_anomaly`` ``(n,)``
+    bool."""
+
+    ROW = RegionCell
+    DTYPES = (np.int64, np.float64, np.bool_)
+
+    instances: np.ndarray
+    time_scores: np.ndarray
+    is_anomaly: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -90,7 +169,7 @@ class Regions:
     threshold: float
     n_dims: int
     regions: Tuple[Region, ...]
-    cells: Tuple[RegionCell, ...]
+    cells: RegionCells
 
     def thicknesses(self, dim: int) -> List[int]:
         return [r.thickness(dim) for r in self.regions if dim in r.extents]
@@ -100,19 +179,27 @@ class _CellRecorder:
     """Order-preserving cell collector, deduplicated by instance."""
 
     def __init__(self) -> None:
-        self.cells: List[RegionCell] = []
-        self._seen: Set[Tuple[int, ...]] = set()
+        #: ``(time_score, is_anomaly)`` by instance, in first-visit order.
+        self._verdicts: Dict[Tuple[int, ...], Tuple[float, bool]] = {}
 
     def record(
         self, instance: Tuple[int, ...], is_anomaly: bool, time_score: float
     ) -> None:
-        if instance in self._seen:
-            return
-        self._seen.add(instance)
-        self.cells.append(
-            RegionCell(
-                instance=instance, time_score=time_score, is_anomaly=is_anomaly
-            )
+        self._verdicts.setdefault(instance, (time_score, is_anomaly))
+
+    def cells(self, n_dims: int) -> RegionCells:
+        """The recorded cells, as columns built once."""
+        verdicts = self._verdicts.values()
+        return RegionCells(
+            instances=np.array(list(self._verdicts), dtype=np.int64).reshape(
+                -1, n_dims
+            ),
+            time_scores=np.array(
+                [score for score, _ in verdicts], dtype=np.float64
+            ),
+            is_anomaly=np.array(
+                [flag for _, flag in verdicts], dtype=np.bool_
+            ),
         )
 
 
@@ -262,5 +349,5 @@ def explore_regions(
         threshold=threshold,
         n_dims=expression.n_dims,
         regions=tuple(regions),
-        cells=tuple(recorder.cells),
+        cells=recorder.cells(expression.n_dims),
     )

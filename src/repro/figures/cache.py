@@ -28,6 +28,15 @@ implements ``load``/``save`` on top of ``load_text``/``save_text``
 plus the shared codec — which is what keeps payloads byte-identical
 whichever backend carried them.
 
+Most of a payload is two per-cell tables: the region cells and the
+prediction records, one JSON array per row.  In memory they are
+columns (:class:`~repro.experiments.regions.RegionCells`,
+:class:`~repro.experiments.prediction.PredictionRecords`): the encode
+writes the rows from the columns' ``tolist()``, and the decode
+transposes each parsed table once and builds one array per column,
+so no per-row object is built either way.  The records share the
+cells' instance, flag and score columns.
+
 The schema version participates in the store location (filename /
 database name) and the payload: bump :data:`SCHEMA_VERSION` whenever
 the serialized shape *or the semantics of the pipeline that produced
@@ -51,14 +60,23 @@ import os
 import sqlite3
 import tempfile
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Optional, Union
 
+import numpy as np
+
 from repro.analysis.confusion import ConfusionMatrix
 from repro.core.classify import Verdict
-from repro.experiments.prediction import Prediction, PredictionRecord
+from repro.experiments.prediction import Prediction, PredictionRecords
 from repro.experiments.random_search import Anomaly, SearchResult
-from repro.experiments.regions import DimExtent, Region, RegionCell, Regions
+from repro.experiments.regions import (
+    Columns,
+    DimExtent,
+    Region,
+    RegionCells,
+    Regions,
+)
 
 #: Bump when the payload layout or the producing pipeline changes.
 #: v2: study keys (and payloads) carry the search ``box`` name.
@@ -228,6 +246,44 @@ def _search_from_payload(payload: dict) -> SearchResult:
     )
 
 
+def _rows(columns: Columns) -> list:
+    """A column table's rows, each a JSON array of its fields."""
+    return list(zip(*(column.tolist() for column in columns.columns())))
+
+
+def _table(rows, width: int) -> tuple:
+    """The ``width`` columns of a JSON table of rows, transposed once."""
+    if type(rows) is not list or set(map(len, rows)) - {width}:
+        raise ValueError(f"not a table of {width}-field rows")
+    return tuple(zip(*rows)) if rows else ((),) * width
+
+
+def _column(values, kind: type, dtype) -> np.ndarray:
+    """``values`` as an array, refused unless each is of type ``kind``:
+    no JSON string, float or int stands in for another."""
+    if set(map(type, values)) - {kind}:
+        raise ValueError(f"a value in a column of {kind.__name__}s")
+    return np.array(values, dtype=dtype)
+
+
+def _instances(values, n_dims: int) -> np.ndarray:
+    """A column of JSON instances as an ``(n, n_dims)`` int64 array."""
+    if set(map(len, values)) - {n_dims}:
+        raise ValueError(f"an instance that is not {n_dims} dims wide")
+    flat = _column(list(chain.from_iterable(values)), int, np.int64)
+    return flat.reshape(-1, n_dims)
+
+
+def _cells_from_columns(
+    instances: tuple, time_scores: tuple, is_anomaly: tuple, n_dims: int
+) -> RegionCells:
+    return RegionCells(
+        instances=_instances(instances, n_dims),
+        time_scores=_column(time_scores, float, np.float64),
+        is_anomaly=_column(is_anomaly, bool, np.bool_),
+    )
+
+
 def _regions_to_payload(regions: Regions) -> dict:
     return {
         "expression": regions.expression,
@@ -243,18 +299,16 @@ def _regions_to_payload(regions: Regions) -> dict:
             }
             for region in regions.regions
         ],
-        "cells": [
-            [list(cell.instance), cell.time_score, cell.is_anomaly]
-            for cell in regions.cells
-        ],
+        "cells": _rows(regions.cells),
     }
 
 
 def _regions_from_payload(payload: dict) -> Regions:
+    n_dims = int(payload["n_dims"])
     return Regions(
         expression=payload["expression"],
         threshold=float(payload["threshold"]),
-        n_dims=int(payload["n_dims"]),
+        n_dims=n_dims,
         regions=tuple(
             Region(
                 origin=tuple(int(v) for v in entry["origin"]),
@@ -265,14 +319,7 @@ def _regions_from_payload(payload: dict) -> Regions:
             )
             for entry in payload["regions"]
         ),
-        cells=tuple(
-            RegionCell(
-                instance=tuple(int(v) for v in instance),
-                time_score=float(time_score),
-                is_anomaly=bool(is_anomaly),
-            )
-            for instance, time_score, is_anomaly in payload["cells"]
-        ),
+        cells=_cells_from_columns(*_table(payload["cells"], 3), n_dims),
     )
 
 
@@ -280,33 +327,28 @@ def _prediction_to_payload(prediction: Prediction) -> dict:
     return {
         "expression": prediction.expression,
         "threshold": prediction.threshold,
-        "records": [
-            [
-                list(record.instance),
-                record.actual_anomaly,
-                record.predicted_anomaly,
-                record.actual_score,
-                record.predicted_score,
-            ]
-            for record in prediction.records
-        ],
+        "records": _rows(prediction.records),
     }
 
 
-def _prediction_from_payload(payload: dict) -> Prediction:
+def _prediction_from_payload(payload: dict, cells: RegionCells) -> Prediction:
+    """The stored prediction, refused unless its records mirror
+    ``cells`` (count, instances, actual flags and scores)."""
+    instances, actual, predicted, actual_scores, predicted_scores = _table(
+        payload["records"], 5
+    )
+    mirrored = _cells_from_columns(
+        instances, actual_scores, actual, cells.instances.shape[1]
+    )
+    if mirrored != cells:
+        raise ValueError("the records do not mirror the region cells")
     return Prediction(
         expression=payload["expression"],
         threshold=float(payload["threshold"]),
-        records=tuple(
-            PredictionRecord(
-                instance=tuple(int(v) for v in instance),
-                actual_anomaly=bool(actual),
-                predicted_anomaly=bool(predicted),
-                actual_score=float(actual_score),
-                predicted_score=float(predicted_score),
-            )
-            for instance, actual, predicted, actual_score, predicted_score
-            in payload["records"]
+        records=PredictionRecords.for_cells(
+            cells,
+            _column(predicted, bool, np.bool_),
+            _column(predicted_scores, float, np.float64),
         ),
     )
 
@@ -372,6 +414,19 @@ def encode_study(
 def decode_study(text: str, key: StudyKey) -> Optional[dict]:
     """Parse and validate study text; None on any mismatch.
 
+    The region cells and prediction records come back as fully built
+    read-only columns, the records sharing the cells' columns.  The
+    decode refuses, besides a key or schema mismatch:
+
+    * a table row with the wrong number of fields;
+    * an instance that is not ``n_dims`` JSON integers (a string, a
+      float, a bool or a value past int64 is a mismatch, never
+      coerced);
+    * a score that is not a JSON float, a flag that is not a JSON
+      boolean;
+    * prediction records that do not mirror the region cells in
+      count, instances, actual flags and actual scores.
+
     A payload carrying a ``schedule`` field is a study of a machine
     that reordered plan steps, a pipeline that no longer exists; older
     writers could file one under a default key, so it is always a miss.
@@ -388,13 +443,16 @@ def decode_study(text: str, key: StudyKey) -> Optional[dict]:
             or payload.get("variant", "default") != key.variant
         ):
             return None
+        regions = _regions_from_payload(payload["regions"])
         return {
             "search": _search_from_payload(payload["search"]),
-            "regions": _regions_from_payload(payload["regions"]),
-            "prediction": _prediction_from_payload(payload["prediction"]),
+            "regions": regions,
+            "prediction": _prediction_from_payload(
+                payload["prediction"], regions.cells
+            ),
             "confusion": _confusion_from_payload(payload["confusion"]),
         }
-    except (ValueError, KeyError, TypeError, AttributeError):
+    except (ValueError, KeyError, TypeError, AttributeError, OverflowError):
         return None
 
 

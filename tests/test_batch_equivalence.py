@@ -26,6 +26,7 @@ from repro.experiments.prediction import predict_from_benchmarks
 from repro.experiments.random_search import random_search
 from repro.experiments.regions import (
     RegionCell,
+    RegionCells,
     explore_regions,
 )
 from repro.expressions.registry import get_expression, known_expressions
@@ -257,7 +258,7 @@ def _reference_explore_regions(
         threshold=threshold,
         n_dims=expression.n_dims,
         regions=tuple(regions),
-        cells=tuple(cells),
+        cells=RegionCells.from_rows(cells, expression.n_dims),
     )
 
 

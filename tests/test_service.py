@@ -917,6 +917,7 @@ def test_engine_dims_bound_is_the_largest_exact_dim(engine):
 
 
 def test_http_select_refuses_dims_past_the_exact_bound(engine):
+    engine.expression_for("chain4")
     bound = engine._max_dims["chain4"]
     at_bound = [
         [bound] * 5,

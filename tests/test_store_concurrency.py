@@ -15,9 +15,19 @@ import pytest
 
 from repro.analysis.confusion import ConfusionMatrix
 from repro.core.classify import Verdict
-from repro.experiments.prediction import Prediction, PredictionRecord
+from repro.experiments.prediction import (
+    Prediction,
+    PredictionRecord,
+    PredictionRecords,
+)
 from repro.experiments.random_search import Anomaly, SearchResult
-from repro.experiments.regions import DimExtent, Region, RegionCell, Regions
+from repro.experiments.regions import (
+    DimExtent,
+    Region,
+    RegionCell,
+    RegionCells,
+    Regions,
+)
 from repro.figures.cache import STORE_KINDS, StudyKey, make_store
 
 KEY = StudyKey(scale="quick", seed=0, expression="aatb")
@@ -50,23 +60,29 @@ def _tiny_study():
                 extents={0: DimExtent(dim=0, lo=20, hi=148)},
             ),
         ),
-        cells=(
-            RegionCell(
-                instance=(92, 600, 600), time_score=0.4375, is_anomaly=True
+        cells=RegionCells.from_rows(
+            (
+                RegionCell(
+                    instance=(92, 600, 600), time_score=0.4375, is_anomaly=True
+                ),
             ),
+            n_dims=3,
         ),
     )
     prediction = Prediction(
         expression="aatb",
         threshold=0.05,
-        records=(
-            PredictionRecord(
-                instance=(92, 600, 600),
-                actual_anomaly=True,
-                predicted_anomaly=True,
-                actual_score=0.4375,
-                predicted_score=0.40625,
+        records=PredictionRecords.from_rows(
+            (
+                PredictionRecord(
+                    instance=(92, 600, 600),
+                    actual_anomaly=True,
+                    predicted_anomaly=True,
+                    actual_score=0.4375,
+                    predicted_score=0.40625,
+                ),
             ),
+            n_dims=3,
         ),
     )
     confusion = ConfusionMatrix(
